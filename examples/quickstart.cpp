@@ -2,7 +2,7 @@
 // minutes, and print what each receiver subscribed to.
 //
 // This is the smallest end-to-end use of the public API:
-//   ScenarioConfig -> Scenario::topology_a -> run -> results().
+//   ScenarioConfig -> ScenarioBuilder::topology_a -> build -> run -> results().
 #include <cstdio>
 
 #include "scenarios/scenario.hpp"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 namespace tsim::core {
 
@@ -98,26 +97,6 @@ void assign_link_ids(LabeledTree& lt, LinkInterner& links) {
   }
 }
 
-std::vector<LinkObservation> collect_link_observations(const std::vector<LabeledTree>& trees) {
-  // First-encounter order (deterministic), with a side index for lookups.
-  std::vector<LinkObservation> result;
-  std::unordered_map<LinkKey, std::size_t> index;
-  for (const LabeledTree& lt : trees) {
-    const TreeIndex& tree = lt.tree;
-    for (const auto idx : tree.bfs_order()) {
-      const std::size_t i = static_cast<std::size_t>(idx);
-      const int p = tree.parent(i);
-      if (p < 0) continue;
-      const LinkKey key{tree.node(static_cast<std::size_t>(p)).node, tree.node(i).node};
-      const auto [it, inserted] = index.try_emplace(key, result.size());
-      if (inserted) result.push_back(LinkObservation{key, {}});
-      result[it->second].sessions.push_back(
-          LinkSessionObservation{tree.session(), lt.loss[i], lt.max_subtree_bytes[i]});
-    }
-  }
-  return result;
-}
-
 void collect_link_aggregates(const std::vector<LabeledTree*>& trees, const Params& params,
                              std::size_t link_count, LinkAggregates& out) {
   out.reset(link_count);
@@ -167,23 +146,6 @@ void compute_bottlenecks(LabeledTree& lt, const std::vector<double>& cap_by_id) 
     }
     lt.max_handle_bps[i] = best;
   }
-}
-
-void compute_bottlenecks(LabeledTree& lt, const CapacityEstimator& capacities) {
-  // Resolve capacities through the estimator's interner, then run the dense
-  // pass. Trees on the hot path already carry matching link ids; trees built
-  // by tests may not, so ids are resolved (without interning) per call.
-  const TreeIndex& tree = lt.tree;
-  for (const auto idx : tree.bfs_order()) {
-    const std::size_t i = static_cast<std::size_t>(idx);
-    const int p = tree.parent(i);
-    lt.link_id[i] = p < 0 ? kNoLinkId
-                          : capacities.links().find(LinkKey{
-                                tree.node(static_cast<std::size_t>(p)).node, tree.node(i).node});
-  }
-  std::vector<double> cap_by_id;
-  capacities.snapshot_capacities(cap_by_id);
-  compute_bottlenecks(lt, cap_by_id);
 }
 
 void compute_fair_shares(const std::vector<LabeledTree*>& trees,
@@ -276,26 +238,6 @@ void compute_fair_shares(const std::vector<LabeledTree*>& trees,
       lt.share_bps[i] = std::min(lt.share_bps[static_cast<std::size_t>(p)], share);
     }
   }
-}
-
-void compute_fair_shares(std::vector<LabeledTree>& trees, const CapacityEstimator& capacities,
-                         const Params& params) {
-  // Assign link ids from a local interner (the estimator's interner may not
-  // cover edges of hand-built test trees, and it is const here), snapshot
-  // capacities per id, and delegate to the dense core.
-  LinkInterner links;
-  std::vector<LabeledTree*> ptrs;
-  ptrs.reserve(trees.size());
-  for (LabeledTree& lt : trees) {
-    assign_link_ids(lt, links);
-    ptrs.push_back(&lt);
-  }
-  std::vector<double> cap_by_id(links.size());
-  for (std::uint32_t id = 0; id < links.size(); ++id) {
-    cap_by_id[id] = capacities.capacity_bps(links.key(id));
-  }
-  PassWorkspace ws;
-  compute_fair_shares(ptrs, cap_by_id, params, ws);
 }
 
 }  // namespace tsim::core

@@ -50,25 +50,16 @@ void label_congestion(LabeledTree& lt, const Params& params);
 /// once per topology epoch (tree build), not per interval.
 void assign_link_ids(LabeledTree& lt, LinkInterner& links);
 
-/// Builds per-link observations across all sessions for the capacity
-/// estimator (requires label_congestion first). Output order is
-/// first-encounter order over (session input order × BFS order) — stable
-/// across runs and platforms, unlike the seed's hash order.
-[[nodiscard]] std::vector<LinkObservation> collect_link_observations(
-    const std::vector<LabeledTree>& trees);
-
-/// Dense equivalent for the hot path: reduces all sessions' per-link
-/// observations straight into a flat aggregate table indexed by link id
-/// (requires assign_link_ids + label_congestion first). `link_count` is the
-/// interner's current size.
+/// Reduces all sessions' per-link observations for the capacity estimator
+/// straight into a flat aggregate table indexed by link id (requires
+/// assign_link_ids + label_congestion first). `link_count` is the interner's
+/// current size.
 void collect_link_aggregates(const std::vector<LabeledTree*>& trees, const Params& params,
                              std::size_t link_count, LinkAggregates& out);
 
 /// Stage 3 ("Finding Bottleneck Bandwidths"): propagates the minimum
 /// estimated link capacity top-down, then the max child bottleneck bottom-up.
-void compute_bottlenecks(LabeledTree& lt, const CapacityEstimator& capacities);
-
-/// Dense overload: capacities come from a per-link-id snapshot
+/// Capacities come from a per-link-id snapshot
 /// (CapacityEstimator::snapshot_capacities) via lt.link_id.
 void compute_bottlenecks(LabeledTree& lt, const std::vector<double>& cap_by_id);
 
@@ -76,13 +67,8 @@ void compute_bottlenecks(LabeledTree& lt, const std::vector<double>& cap_by_id);
 /// bandwidth share along its path. On every shared finite link, session i
 /// gets x_i*B/Σx_j where x_i is the max layers it could use were every other
 /// session at its base layer. Single-session finite links cap at B; a session
-/// never falls below one base layer.
-void compute_fair_shares(std::vector<LabeledTree>& trees, const CapacityEstimator& capacities,
-                         const Params& params);
-
-/// Dense core used by the hot path: flat per-link tables in `ws`, capacities
-/// from `cap_by_id`, link identity via lt.link_id. The legacy overload above
-/// delegates here, so there is exactly one implementation of the arithmetic.
+/// never falls below one base layer. Per-link tables live in `ws`,
+/// capacities come from `cap_by_id`, link identity via lt.link_id.
 void compute_fair_shares(const std::vector<LabeledTree*>& trees,
                          const std::vector<double>& cap_by_id, const Params& params,
                          PassWorkspace& ws);

@@ -35,24 +35,22 @@ Scenario::Scenario(const ScenarioConfig& config)
       mcast_{std::make_unique<mcast::MulticastRouter>(*simulation_, *network_, config.mcast)},
       demuxes_{std::make_unique<transport::DemuxRegistry>(*network_)} {}
 
-void Scenario::add_session_source(const traffic::LayeredSource::Config& cfg) {
-  switch (config_.traffic.engine) {
-    case TrafficEngine::kPacket:
-      sources_.push_back(std::make_unique<traffic::LayeredSource>(*simulation_, *network_, cfg));
-      return;
-    case TrafficEngine::kFluid:
-      fluid_sources_.push_back(std::make_unique<traffic::FluidSource>(*simulation_, cfg));
-      return;
-    case TrafficEngine::kBurst: {
-      traffic::BurstSource::Config bcfg;
-      bcfg.source = cfg;
-      bcfg.train_packets = config_.traffic.burst_train;
-      burst_sources_.push_back(
-          std::make_unique<traffic::BurstSource>(*simulation_, *network_, bcfg));
-      return;
-    }
+void Scenario::add_session_source(net::SessionId session, net::NodeId node) {
+  mcast_->set_session_source(session, node);
+  traffic::LayeredSource::Config cfg;
+  cfg.session = session;
+  cfg.node = node;
+  cfg.layers = config_.params.layers;
+  cfg.model = config_.traffic.model;
+  cfg.peak_to_mean = config_.traffic.peak_to_mean;
+  if (config_.traffic.engine == TrafficEngine::kFluid) {
+    fluid_sources_.push_back(std::make_unique<traffic::FluidSource>(*simulation_, cfg));
+    return;
   }
-  throw std::logic_error("unknown traffic engine");
+  if (config_.traffic.engine == TrafficEngine::kBurst) {
+    cfg.train_packets = config_.traffic.burst_train;
+  }
+  sources_.push_back(std::make_unique<traffic::LayeredSource>(*simulation_, *network_, cfg));
 }
 
 void Scenario::add_receiver(net::NodeId node, net::SessionId session, int optimal,
@@ -309,7 +307,6 @@ void Scenario::finalize() {
   }
 
   for (const auto& source : sources_) source->start();
-  for (const auto& source : burst_sources_) source->start();
   if (fluid_engine_) {
     // Cross-traffic competes for fluid capacity as a constant-rate background
     // flow instead of a packet train (the packet flow objects stay unstarted).
@@ -386,21 +383,6 @@ void Scenario::add_cross_traffic(const CrossTrafficSpec& spec) {
   }
 }
 
-std::unique_ptr<Scenario> Scenario::topology_a(const ScenarioConfig& config,
-                                               const TopologyAOptions& options) {
-  return build_topology_a(config, options);
-}
-
-std::unique_ptr<Scenario> Scenario::topology_b(const ScenarioConfig& config,
-                                               const TopologyBOptions& options) {
-  return build_topology_b(config, options);
-}
-
-std::unique_ptr<Scenario> Scenario::tiered(const ScenarioConfig& config,
-                                           const TieredOptions& options) {
-  return build_tiered(config, options);
-}
-
 std::unique_ptr<Scenario> Scenario::build_topology_a(const ScenarioConfig& config,
                                                      const TopologyAOptions& options) {
   std::unique_ptr<Scenario> s{new Scenario{config}};
@@ -418,15 +400,7 @@ std::unique_ptr<Scenario> Scenario::build_topology_a(const ScenarioConfig& confi
                        queue_limit_for(config, options.bottleneck2_bps));
 
   s->controller_node_ = source;
-  s->mcast_->set_session_source(0, source);
-
-  traffic::LayeredSource::Config scfg;
-  scfg.session = 0;
-  scfg.node = source;
-  scfg.layers = config.params.layers;
-  scfg.model = config.traffic.model;
-  scfg.peak_to_mean = config.traffic.peak_to_mean;
-  s->add_session_source(scfg);
+  s->add_session_source(0, source);
 
   const int optimal1 =
       config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{options.bottleneck1_bps});
@@ -491,15 +465,7 @@ std::unique_ptr<Scenario> Scenario::build_topology_b(const ScenarioConfig& confi
     netw.add_duplex_link(src, ra, units::BitsPerSec{options.access_bps}, config.link_latency,
                          queue_limit_for(config, options.access_bps));
     source_nodes.push_back(src);
-    s->mcast_->set_session_source(static_cast<net::SessionId>(k), src);
-
-    traffic::LayeredSource::Config scfg;
-    scfg.session = static_cast<net::SessionId>(k);
-    scfg.node = src;
-    scfg.layers = config.params.layers;
-    scfg.model = config.traffic.model;
-    scfg.peak_to_mean = config.traffic.peak_to_mean;
-    s->add_session_source(scfg);
+    s->add_session_source(static_cast<net::SessionId>(k), src);
   }
   // "The controller agent was stationed at one of the source nodes."
   s->controller_node_ = source_nodes.front();
@@ -590,15 +556,7 @@ std::unique_ptr<Scenario> Scenario::build_tiered(const ScenarioConfig& config,
   }
 
   s->controller_node_ = source;
-  s->mcast_->set_session_source(0, source);
-
-  traffic::LayeredSource::Config scfg;
-  scfg.session = 0;
-  scfg.node = source;
-  scfg.layers = config.params.layers;
-  scfg.model = config.traffic.model;
-  scfg.peak_to_mean = config.traffic.peak_to_mean;
-  s->add_session_source(scfg);
+  s->add_session_source(0, source);
 
   // Offline reference: greedy lexicographic max-min on the true capacities.
   core::SessionInput session;
@@ -634,18 +592,10 @@ std::unique_ptr<Scenario> Scenario::build_star(const ScenarioConfig& config,
                        queue_limit_for(config, options.backbone_bps));
 
   s->controller_node_ = source;
-  s->mcast_->set_session_source(0, source);
+  s->add_session_source(0, source);
   // N receivers all report to the controller: answer their unicast routes
   // from one destination-rooted row (see StarOptions).
   netw.add_routing_sink(source);
-
-  traffic::LayeredSource::Config scfg;
-  scfg.session = 0;
-  scfg.node = source;
-  scfg.layers = config.params.layers;
-  scfg.model = config.traffic.model;
-  scfg.peak_to_mean = config.traffic.peak_to_mean;
-  s->add_session_source(scfg);
 
   const int optimal =
       config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{options.access_bps});
@@ -738,14 +688,7 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
   }
 
   for (const auto& src : description.sources) {
-    s->mcast_->set_session_source(src.session, by_name.at(src.node));
-    traffic::LayeredSource::Config scfg;
-    scfg.session = src.session;
-    scfg.node = by_name.at(src.node);
-    scfg.layers = config.params.layers;
-    scfg.model = config.traffic.model;
-    scfg.peak_to_mean = config.traffic.peak_to_mean;
-    s->add_session_source(scfg);
+    s->add_session_source(src.session, by_name.at(src.node));
   }
 
   // Offline optima from the declared (true) capacities: build each session's

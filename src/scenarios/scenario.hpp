@@ -20,7 +20,6 @@
 #include "sim/simulation.hpp"
 #include "topo/discovery.hpp"
 #include "topo/mtrace.hpp"
-#include "traffic/burst_source.hpp"
 #include "traffic/cross_traffic.hpp"
 #include "traffic/fluid_engine.hpp"
 #include "traffic/fluid_source.hpp"
@@ -43,7 +42,7 @@ enum class DiscoveryMode {
 enum class TrafficEngine {
   kPacket,  ///< one scheduler event per packet (LayeredSource, the default)
   kFluid,   ///< rate trajectories integrated per step (traffic::FluidEngine)
-  kBurst,   ///< K-packet trains per event (traffic::BurstSource)
+  kBurst,   ///< K-packet trains per event (LayeredSource, K = traffic.burst_train)
 };
 
 /// Which adaptation scheme drives the receivers. The scenario wiring itself
@@ -55,12 +54,8 @@ enum class ControllerKind {
   kNone,            ///< receivers stay at their initial subscription
 };
 
-/// Configuration shared by every experiment (paper §IV defaults).
-///
-/// Fields are grouped into sub-structs by subsystem (traffic, queues,
-/// control, domains). The old flat names remain as deprecated reference
-/// aliases for one release — reading or writing `config.red_queues` still
-/// works (it is the same storage as `config.queues.red`) but warns.
+/// Configuration shared by every experiment (paper §IV defaults), grouped
+/// into sub-structs by subsystem (traffic, queues, control, domains).
 struct ScenarioConfig {
   struct Traffic {
     ::tsim::traffic::TrafficModel model{::tsim::traffic::TrafficModel::kCbr};
@@ -119,59 +114,6 @@ struct ScenarioConfig {
   /// Invariant auditing (off by default; see ScenarioBuilder::audit and the
   /// --audit flag on toposense_sim / bench_runner).
   check::AuditConfig audit{};
-
-  /// --- deprecated flat aliases (same storage as the sub-structs) ----------
-  [[deprecated("use traffic.model")]] ::tsim::traffic::TrafficModel& model = traffic.model;
-  [[deprecated("use traffic.peak_to_mean")]] double& peak_to_mean = traffic.peak_to_mean;
-  [[deprecated("use queues.limit_packets")]] std::size_t& queue_limit_packets =
-      queues.limit_packets;
-  [[deprecated("use queues.bdp_sizing")]] bool& queue_bdp_sizing = queues.bdp_sizing;
-  [[deprecated("use queues.red")]] bool& red_queues = queues.red;
-  [[deprecated("use control.kind")]] ControllerKind& controller = control.kind;
-  [[deprecated("use control.discovery")]] DiscoveryMode& discovery = control.discovery;
-  [[deprecated("use control.info_staleness")]] sim::Time& info_staleness =
-      control.info_staleness;
-  [[deprecated("use control.report_period")]] sim::Time& report_period = control.report_period;
-  [[deprecated("use control.receiver_agent")]] ::tsim::control::ReceiverAgent::Config&
-      receiver_agent = control.receiver_agent;
-  [[deprecated("use control.receiver_driven")]] ::tsim::baseline::ReceiverDrivenController::
-      Config& receiver_driven = control.receiver_driven;
-
-  // The aliases are references into this object, so copies must rebind them
-  // to the copy's own sub-structs: value members are copied explicitly and
-  // the references fall back to their default member initializers. (The
-  // implicit alias initialization inside these members would itself trip the
-  // deprecation warning, hence the suppression.)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ScenarioConfig() = default;
-  ScenarioConfig(const ScenarioConfig& other)
-      : seed{other.seed},
-        params{other.params},
-        duration{other.duration},
-        link_latency{other.link_latency},
-        traffic{other.traffic},
-        queues{other.queues},
-        control{other.control},
-        domains{other.domains},
-        mcast{other.mcast},
-        audit{other.audit} {}
-  ScenarioConfig(ScenarioConfig&& other) noexcept : ScenarioConfig{other} {}
-  ScenarioConfig& operator=(const ScenarioConfig& other) {
-    seed = other.seed;
-    params = other.params;
-    duration = other.duration;
-    link_latency = other.link_latency;
-    traffic = other.traffic;
-    queues = other.queues;
-    control = other.control;
-    domains = other.domains;
-    mcast = other.mcast;
-    audit = other.audit;
-    return *this;
-  }
-  ScenarioConfig& operator=(ScenarioConfig&& other) noexcept { return *this = other; }
-#pragma GCC diagnostic pop
 };
 
 /// Topology A (Fig 5): one session, two receiver sets behind different
@@ -285,15 +227,6 @@ struct ReceiverResult {
 /// config.domains.auto_partition asks for a split).
 class Scenario {
  public:
-  [[deprecated("use ScenarioBuilder(config).topology_a(options).build()")]] static std::
-      unique_ptr<Scenario>
-      topology_a(const ScenarioConfig& config, const TopologyAOptions& options);
-  [[deprecated("use ScenarioBuilder(config).topology_b(options).build()")]] static std::
-      unique_ptr<Scenario>
-      topology_b(const ScenarioConfig& config, const TopologyBOptions& options);
-  [[deprecated("use ScenarioBuilder(config).tiered(options).build()")]] static std::
-      unique_ptr<Scenario>
-      tiered(const ScenarioConfig& config, const TieredOptions& options);
   /// Builds a scenario from a parsed topology file (see topology_file.hpp).
   /// Per-receiver optima come from the offline allocator on the declared
   /// capacities; `fault` lines in the file are installed automatically.
@@ -346,14 +279,9 @@ class Scenario {
       const {
     return endpoints_;
   }
+  /// The packet sources, one per session (empty under the fluid engine).
   [[nodiscard]] const std::vector<std::unique_ptr<traffic::LayeredSource>>& sources() const {
     return sources_;
-  }
-  [[nodiscard]] const std::vector<std::unique_ptr<traffic::FluidSource>>& fluid_sources() const {
-    return fluid_sources_;
-  }
-  [[nodiscard]] const std::vector<std::unique_ptr<traffic::BurstSource>>& burst_sources() const {
-    return burst_sources_;
   }
   /// The fluid datapath, or nullptr unless config.traffic.engine is kFluid.
   [[nodiscard]] traffic::FluidEngine* fluid_engine() { return fluid_engine_.get(); }
@@ -376,8 +304,7 @@ class Scenario {
 
   explicit Scenario(const ScenarioConfig& config);
 
-  /// Factory bodies (the deprecated public factories and ScenarioBuilder both
-  /// forward here).
+  /// Factory bodies behind ScenarioBuilder::build().
   static std::unique_ptr<Scenario> build_topology_a(const ScenarioConfig& config,
                                                     const TopologyAOptions& options);
   static std::unique_ptr<Scenario> build_topology_b(const ScenarioConfig& config,
@@ -387,9 +314,10 @@ class Scenario {
   static std::unique_ptr<Scenario> build_star(const ScenarioConfig& config,
                                               const StarOptions& options);
 
-  /// Creates the session source for `cfg` on whichever traffic engine the
-  /// config selects (packet, fluid or burst). finalize() starts it.
-  void add_session_source(const traffic::LayeredSource::Config& cfg);
+  /// Makes `node` the source of `session`: registers it with the multicast
+  /// router and creates its traffic source on whichever engine the config
+  /// selects (packet, fluid or burst). finalize() starts it.
+  void add_session_source(net::SessionId session, net::NodeId node);
 
   /// Records one receiver (endpoint + policy agent + metrics) at `node`,
   /// active in [start, stop). The endpoint itself is constructed in
@@ -418,7 +346,6 @@ class Scenario {
   std::vector<control::Domain> declared_domains_;
   std::vector<std::unique_ptr<traffic::LayeredSource>> sources_;
   std::vector<std::unique_ptr<traffic::FluidSource>> fluid_sources_;
-  std::vector<std::unique_ptr<traffic::BurstSource>> burst_sources_;
   /// Built in finalize() when traffic.engine is kFluid. Holds non-owning
   /// pointers to fluid_sources_ and endpoints_ (as FluidSinks); safe because
   /// no events run during destruction.

@@ -11,8 +11,7 @@
 
 namespace tsim::scenarios {
 
-/// Fluent front door for constructing experiments. Replaces the static
-/// `Scenario::topology_*` factories:
+/// Fluent front door for constructing experiments:
 ///
 ///   auto scenario = ScenarioBuilder(config)
 ///                       .topology_a({.receivers_per_set = 4})

@@ -1,7 +1,5 @@
 #include "traffic/fluid_source.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 
 namespace tsim::traffic {
@@ -30,15 +28,9 @@ void FluidSource::advance_to_interval(std::int64_t index) {
   // function of the interval index regardless of engine step size.
   while (current_interval_ < index) {
     ++current_interval_;
-    const double p = std::max(1.0, config_.peak_to_mean);
-    for (int l = 1; l <= config_.layers.num_layers; ++l) {
-      const double avg = pps_by_layer_[static_cast<std::size_t>(l - 1)];
-      long n = 1;
-      if (rng_.bernoulli(1.0 / p)) {
-        n = std::lround(p * avg + 1.0 - p);
-        n = std::max(n, 1L);
-      }
-      interval_packets_[static_cast<std::size_t>(l - 1)] = static_cast<double>(n);
+    for (std::size_t l = 0; l < interval_packets_.size(); ++l) {
+      interval_packets_[l] = static_cast<double>(
+          vbr_interval_packets(pps_by_layer_[l], config_.peak_to_mean, rng_));
     }
   }
 }

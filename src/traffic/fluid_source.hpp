@@ -16,15 +16,16 @@ namespace tsim::traffic {
 ///
 /// CBR layers are flat at LayerSpec::layer_rate. VBR reproduces the paper's
 /// on/off process at its native granularity: per one-second interval a layer
-/// carries n packets (n = 1 w.p. 1-1/P, n = P*A + 1 - P w.p. 1/P), so the
-/// layer's rate during that interval is n * packet_size * 8 bps. The draws
-/// come from a dedicated stream ("fluid-source/<session>") and are consumed
-/// strictly in (interval, layer) order, so trajectories are deterministic and
+/// carries the n packets of vbr_interval_packets, so the layer's rate during
+/// that interval is n * packet_size * 8 bps. The draws come from a dedicated
+/// stream ("fluid-source/<session>") and are consumed strictly in
+/// (interval, layer) order, so trajectories are deterministic and
 /// independent of how the engine interleaves queries across sources.
 ///
 /// Deliberate divergence from the packet model: the per-layer start stagger
 /// and the +/-10% spacing jitter vanish — both are sub-interval phase effects
-/// a rate trajectory cannot represent (see docs/performance.md).
+/// a rate trajectory cannot represent (see docs/performance.md). For the
+/// same reason Config::train_packets is ignored.
 class FluidSource {
  public:
   using Config = LayeredSource::Config;

@@ -6,6 +6,12 @@
 
 namespace tsim::traffic {
 
+long vbr_interval_packets(double avg_pps, double peak_to_mean, sim::Rng& rng) {
+  const double p = std::max(1.0, peak_to_mean);  // P
+  if (!rng.bernoulli(1.0 / p)) return 1;
+  return std::max(std::lround(p * avg_pps + 1.0 - p), 1L);
+}
+
 LayeredSource::LayeredSource(sim::Simulation& simulation, net::Network& network, Config config)
     : simulation_{simulation},
       network_{network},
@@ -13,6 +19,7 @@ LayeredSource::LayeredSource(sim::Simulation& simulation, net::Network& network,
       rng_{simulation.rng_stream("source/" + std::to_string(config.session))},
       next_seq_(static_cast<std::size_t>(config.layers.num_layers), 0),
       sent_packets_(static_cast<std::size_t>(config.layers.num_layers), 0) {
+  config_.train_packets = std::max(config_.train_packets, 1);
   pps_by_layer_.reserve(static_cast<std::size_t>(config_.layers.num_layers));
   for (int l = 1; l <= config_.layers.num_layers; ++l) {
     pps_by_layer_.push_back(config_.layers.packets_per_second(static_cast<net::LayerId>(l)));
@@ -36,29 +43,33 @@ void LayeredSource::start() {
   }
 }
 
-void LayeredSource::emit(net::LayerId layer) {
-  net::Packet packet;
-  packet.uid = network_.next_packet_uid();
-  packet.kind = net::PacketKind::kData;
-  packet.size_bytes = config_.layers.packet_size_bytes;
-  packet.src = config_.node;
-  packet.multicast = true;
-  packet.group = net::GroupAddr{config_.session, layer};
-  packet.seq = next_seq_[layer - 1]++;
-  ++sent_packets_[layer - 1];
-  sent_bytes_total_ += packet.size_bytes;
-  network_.send_multicast(packet);
+void LayeredSource::emit_train(net::LayerId layer, long packets) {
+  for (long i = 0; i < packets; ++i) {
+    net::Packet packet;
+    packet.uid = network_.next_packet_uid();
+    packet.kind = net::PacketKind::kData;
+    packet.size_bytes = config_.layers.packet_size_bytes;
+    packet.src = config_.node;
+    packet.multicast = true;
+    packet.group = net::GroupAddr{config_.session, layer};
+    packet.seq = next_seq_[layer - 1]++;
+    ++sent_packets_[layer - 1];
+    sent_bytes_total_ += packet.size_bytes;
+    network_.send_multicast(packet);
+  }
 }
 
 void LayeredSource::schedule_cbr_layer(net::LayerId layer) {
   if (simulation_.now() >= config_.stop) return;
-  emit(layer);
+  const long train = config_.train_packets;
+  emit_train(layer, train);
   const double pps = pps_by_layer_[layer - 1];
+  // Events are K packet periods apart, so the mean rate does not depend on K.
   // +/-10% spacing jitter (mean-preserving): without it, a layer whose packet
   // period exactly matches a link's service time phase-locks with the
   // transmitter and captures the whole drop-tail queue — an artifact real,
   // unsynchronized senders do not exhibit.
-  const double spacing = (1.0 / pps) * rng_.uniform(0.9, 1.1);
+  const double spacing = (static_cast<double>(train) / pps) * rng_.uniform(0.9, 1.1);
   simulation_.after(sim::Time::seconds(spacing),
                     [this, layer]() { schedule_cbr_layer(layer); });
 }
@@ -66,23 +77,19 @@ void LayeredSource::schedule_cbr_layer(net::LayerId layer) {
 void LayeredSource::schedule_vbr_interval(net::LayerId layer) {
   if (simulation_.now() >= config_.stop) return;
 
-  const double avg = pps_by_layer_[layer - 1];  // A
-  const double p = std::max(1.0, config_.peak_to_mean);         // P
-  // n = 1 w.p. 1-1/P, n = P*A + 1 - P w.p. 1/P, so E[n] = A.
-  long n = 1;
-  if (rng_.bernoulli(1.0 / p)) {
-    n = std::lround(p * avg + 1.0 - p);
-    n = std::max(n, 1L);
-  }
+  const long n = vbr_interval_packets(pps_by_layer_[layer - 1], config_.peak_to_mean, rng_);
 
-  // The n packets of this one-second interval are spread evenly across it;
-  // burstiness lives at the seconds scale, as in the source model the paper
-  // cites.
-  const double spacing = 1.0 / static_cast<double>(n);
-  for (long i = 0; i < n; ++i) {
+  // The n packets of this one-second interval ride in ceil(n/K) trains spread
+  // evenly across it, the last carrying the remainder; burstiness lives at
+  // the seconds scale, as in the source model the paper cites.
+  const long train = config_.train_packets;
+  const long trains = (n + train - 1) / train;
+  const double spacing = 1.0 / static_cast<double>(trains);
+  for (long i = 0; i < trains; ++i) {
+    const long in_train = std::min(train, n - i * train);
     simulation_.after(sim::Time::seconds(spacing * static_cast<double>(i)),
-                      [this, layer]() {
-                        if (simulation_.now() < config_.stop) emit(layer);
+                      [this, layer, in_train]() {
+                        if (simulation_.now() < config_.stop) emit_train(layer, in_train);
                       });
   }
   simulation_.after(sim::Time::seconds(1),

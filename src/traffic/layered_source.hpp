@@ -16,15 +16,29 @@ enum class TrafficModel : std::uint8_t {
   kVbr,  ///< the Gopalakrishnan et al. on/off model the paper uses
 };
 
+/// One per-interval draw of the paper's VBR process: the packets n a layer
+/// averaging `avg_pps` (A) sends in one one-second interval at peak-to-mean
+/// ratio P. n = max(round(P*A + 1 - P), 1) with probability 1/P, else n = 1,
+/// so E[n] = A. Consumes exactly one Bernoulli draw from `rng`; the packet
+/// and fluid sources both draw their trajectories here, each on its own
+/// stream.
+[[nodiscard]] long vbr_interval_packets(double avg_pps, double peak_to_mean, sim::Rng& rng);
+
 /// A layered multicast video source (hierarchical source model, McCanne et
 /// al.). Every layer of the session is transmitted on its own multicast group
 /// continuously; receivers adapt by joining/leaving groups — the source never
 /// adapts.
 ///
-/// VBR follows the paper exactly: per one-second interval a layer sends n
-/// packets where n = n_min with probability 1 - 1/P and n = P*A + n_min - P
-/// with probability 1/P (A = average packets/second of that layer, P =
-/// peak-to-mean ratio), so E[n] = A. n_min is 1 in the paper's formulation.
+/// VBR follows the paper exactly: per one-second interval a layer sends the
+/// n packets of vbr_interval_packets. n_min is 1 in the paper's formulation.
+///
+/// Each scheduler event emits a back-to-back train of `train_packets` (K)
+/// packets. K = 1 is the per-packet model. Larger K is the burst engine, the
+/// middle point between per-packet and fluid traffic: the event load drops by
+/// ~K while queues still see real packet arrivals, in K-deep bursts. CBR
+/// events are K packet periods apart; VBR sends an interval's n packets as
+/// ceil(n/K) trains spread across the second. Sequence numbers stay dense per
+/// layer, so receiver gap accounting works for every K.
 class LayeredSource {
  public:
   struct Config {
@@ -35,6 +49,7 @@ class LayeredSource {
     double peak_to_mean{3.0};  ///< P, used by VBR only (paper studies 3 and 6)
     sim::Time start{sim::Time::zero()};
     sim::Time stop{sim::Time::max()};
+    int train_packets{1};  ///< K: packets per scheduler event (values below 1 act as 1)
   };
 
   LayeredSource(sim::Simulation& simulation, net::Network& network, Config config);
@@ -54,7 +69,7 @@ class LayeredSource {
  private:
   void schedule_cbr_layer(net::LayerId layer);
   void schedule_vbr_interval(net::LayerId layer);
-  void emit(net::LayerId layer);
+  void emit_train(net::LayerId layer, long packets);
 
   sim::Simulation& simulation_;
   net::Network& network_;

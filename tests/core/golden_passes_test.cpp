@@ -204,13 +204,27 @@ std::vector<LabeledTree> build_labeled(const std::vector<SessionInput>& sessions
   return trees;
 }
 
+/// Interns every tree's uplinks in `links` (as TopoSense does per topology
+/// epoch) and returns the trees' addresses in session order.
+std::vector<LabeledTree*> assign_ids(std::vector<LabeledTree>& trees, LinkInterner& links) {
+  std::vector<LabeledTree*> ptrs;
+  for (LabeledTree& lt : trees) {
+    assign_link_ids(lt, links);
+    ptrs.push_back(&lt);
+  }
+  return ptrs;
+}
+
 TEST(GoldenPassesTest, BottlenecksMatchReferenceExactly) {
   const Params p = params();
-  const CapacityEstimator est = fixture_estimator(p);
+  CapacityEstimator est = fixture_estimator(p);
   std::vector<LabeledTree> dense = build_labeled(fixture_sessions(), p);
   std::vector<LabeledTree> ref = build_labeled(fixture_sessions(), p);
+  assign_ids(dense, est.links());
+  std::vector<double> cap_by_id;
+  est.snapshot_capacities(cap_by_id);
   for (std::size_t s = 0; s < dense.size(); ++s) {
-    compute_bottlenecks(dense[s], est);
+    compute_bottlenecks(dense[s], cap_by_id);
     reference_bottlenecks(ref[s], est);
     ASSERT_EQ(dense[s].tree.size(), ref[s].tree.size());
     for (std::size_t i = 0; i < dense[s].tree.size(); ++i) {
@@ -222,12 +236,16 @@ TEST(GoldenPassesTest, BottlenecksMatchReferenceExactly) {
 
 TEST(GoldenPassesTest, FairSharesMatchReferenceExactly) {
   const Params p = params();
-  const CapacityEstimator est = fixture_estimator(p);
+  CapacityEstimator est = fixture_estimator(p);
   std::vector<LabeledTree> dense = build_labeled(fixture_sessions(), p);
   std::vector<LabeledTree> ref = build_labeled(fixture_sessions(), p);
-  for (auto& lt : dense) compute_bottlenecks(lt, est);
+  const std::vector<LabeledTree*> ptrs = assign_ids(dense, est.links());
+  std::vector<double> cap_by_id;
+  est.snapshot_capacities(cap_by_id);
+  for (LabeledTree* lt : ptrs) compute_bottlenecks(*lt, cap_by_id);
   for (auto& lt : ref) reference_bottlenecks(lt, est);
-  compute_fair_shares(dense, est, p);
+  PassWorkspace ws;
+  compute_fair_shares(ptrs, cap_by_id, p, ws);
   reference_fair_shares(ref, est, p);
   for (std::size_t s = 0; s < dense.size(); ++s) {
     for (std::size_t i = 0; i < dense[s].tree.size(); ++i) {
@@ -241,24 +259,28 @@ TEST(GoldenPassesTest, FairSharesMatchReferenceExactly) {
 TEST(GoldenPassesTest, ObservationOrderIsFirstEncounterAndRepeatable) {
   const Params p = params();
   std::vector<LabeledTree> trees = build_labeled(fixture_sessions(), p);
-  const auto a = collect_link_observations(trees);
-  const auto b = collect_link_observations(trees);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].link, b[i].link) << i;
-    ASSERT_EQ(a[i].sessions.size(), b[i].sessions.size()) << i;
+  LinkInterner links;
+  const std::vector<LabeledTree*> ptrs = assign_ids(trees, links);
+  // A fresh interner over the same sessions assigns the same ids.
+  std::vector<LabeledTree> again = build_labeled(fixture_sessions(), p);
+  LinkInterner again_links;
+  assign_ids(again, again_links);
+  ASSERT_EQ(links.size(), again_links.size());
+  for (std::size_t s = 0; s < trees.size(); ++s) {
+    EXPECT_EQ(trees[s].link_id, again[s].link_id) << s;
   }
   // First-encounter order over session 0's BFS: backbone first, then the
   // session-0 subtree edges in BFS order.
-  ASSERT_GE(a.size(), 3u);
-  EXPECT_EQ(a[0].link, (LinkKey{1, 2}));
-  EXPECT_EQ(a[1].link, (LinkKey{2, 3}));
-  EXPECT_EQ(a[2].link, (LinkKey{2, 4}));
-  // The shared backbone saw all three sessions, in session order.
-  ASSERT_EQ(a[0].sessions.size(), 3u);
-  EXPECT_EQ(a[0].sessions[0].session, 0u);
-  EXPECT_EQ(a[0].sessions[1].session, 1u);
-  EXPECT_EQ(a[0].sessions[2].session, 2u);
+  ASSERT_GE(links.size(), 3u);
+  EXPECT_EQ(links.key(0), (LinkKey{1, 2}));
+  EXPECT_EQ(links.key(1), (LinkKey{2, 3}));
+  EXPECT_EQ(links.key(2), (LinkKey{2, 4}));
+  // The shared backbone carries all three sessions, (2,3) sessions 0 and 1.
+  LinkAggregates aggregates;
+  collect_link_aggregates(ptrs, p, links.size(), aggregates);
+  EXPECT_EQ(aggregates.row(0).sessions, 3u);
+  EXPECT_EQ(aggregates.row(1).sessions, 2u);
+  EXPECT_EQ(aggregates.row(2).sessions, 1u);
 }
 
 TEST(GoldenPassesTest, TwoAlgorithmRunsAreIdentical) {

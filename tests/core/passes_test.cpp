@@ -50,6 +50,29 @@ Params params() {
   return p;
 }
 
+/// Interns every tree's uplinks in `links` and returns the trees' addresses
+/// in session order.
+std::vector<LabeledTree*> assign_ids(std::vector<LabeledTree>& trees, LinkInterner& links) {
+  std::vector<LabeledTree*> ptrs;
+  for (LabeledTree& lt : trees) {
+    assign_link_ids(lt, links);
+    ptrs.push_back(&lt);
+  }
+  return ptrs;
+}
+
+/// Stages 3-4 over `trees` the way TopoSense::run_interval runs them: uplinks
+/// interned in the estimator's table, one per-id capacity snapshot, one
+/// PassWorkspace.
+void run_link_passes(std::vector<LabeledTree>& trees, CapacityEstimator& est, const Params& p) {
+  const std::vector<LabeledTree*> ptrs = assign_ids(trees, est.links());
+  std::vector<double> cap_by_id;
+  est.snapshot_capacities(cap_by_id);
+  for (LabeledTree* lt : ptrs) compute_bottlenecks(*lt, cap_by_id);
+  PassWorkspace ws;
+  compute_fair_shares(ptrs, cap_by_id, p, ws);
+}
+
 TEST(CongestionTest, InternalLossIsMinOfChildren) {
   LabeledTree lt{TreeIndex{paper_tree(0.10, 0.04, 0.0)}};
   label_congestion(lt, params());
@@ -120,18 +143,14 @@ TEST(LinkObservationTest, CollectsPerLinkPerSession) {
   trees.emplace_back(TreeIndex{other});
   label_congestion(trees.back(), params());
 
-  const auto observations = collect_link_observations(trees);
-  const LinkKey shared{1, 2};
-  bool found_shared = false;
-  for (const auto& obs : observations) {
-    if (obs.link == shared) {
-      found_shared = true;
-      EXPECT_EQ(obs.sessions.size(), 2u);
-    }
-  }
-  EXPECT_TRUE(found_shared);
+  LinkInterner links;
+  const std::vector<LabeledTree*> ptrs = assign_ids(trees, links);
+  LinkAggregates aggregates;
+  collect_link_aggregates(ptrs, params(), links.size(), aggregates);
   // Edges: 1->2 (shared), 2->3, 2->4, 1->5, 5->6, 2->7 = 6 distinct links.
-  EXPECT_EQ(observations.size(), 6u);
+  ASSERT_EQ(links.size(), 6u);
+  EXPECT_EQ(aggregates.row(links.find(LinkKey{1, 2})).sessions, 2u);
+  EXPECT_EQ(aggregates.row(links.find(LinkKey{2, 7})).sessions, 1u);
 }
 
 TEST(BottleneckTest, TopDownMinAndBottomUpMax) {
@@ -140,10 +159,12 @@ TEST(BottleneckTest, TopDownMinAndBottomUpMax) {
   // Estimate only on link 1->2: 500 Kbps.
   est.update({LinkObservation{{1, 2}, {{0, 0.05, 62'500}}}}, 1_s);
 
-  LabeledTree lt{TreeIndex{paper_tree(0.05, 0.05, 0.0)}};
-  label_congestion(lt, p);
-  compute_bottlenecks(lt, est);
+  std::vector<LabeledTree> trees;
+  trees.emplace_back(TreeIndex{paper_tree(0.05, 0.05, 0.0)});
+  label_congestion(trees.back(), p);
+  run_link_passes(trees, est, p);
 
+  const LabeledTree& lt = trees.front();
   const auto i3 = static_cast<std::size_t>(lt.tree.index_of(3));
   const auto i6 = static_cast<std::size_t>(lt.tree.index_of(6));
   const auto i1 = static_cast<std::size_t>(lt.tree.index_of(1));
@@ -174,9 +195,8 @@ TEST(FairShareTest, PaperExampleTwoSessions) {
                 receiver(100 + s, 2, 0.05, 125'000, 4)};
     trees.emplace_back(TreeIndex{in});
     label_congestion(trees.back(), p);
-    compute_bottlenecks(trees.back(), est);
   }
-  compute_fair_shares(trees, est, p);
+  run_link_passes(trees, est, p);
 
   for (const auto& lt : trees) {
     const auto leaf = static_cast<std::size_t>(lt.tree.size() - 1);
@@ -211,11 +231,8 @@ TEST(FairShareTest, AsymmetricDownstreamBottlenecks) {
     in.nodes = {node(1, net::kInvalidNode), node(2, 1), receiver(101, 2, 0.05, 125'000, 4)};
     trees.emplace_back(TreeIndex{in});
   }
-  for (auto& lt : trees) {
-    label_congestion(lt, p);
-    compute_bottlenecks(lt, est);
-  }
-  compute_fair_shares(trees, est, p);
+  for (auto& lt : trees) label_congestion(lt, p);
+  run_link_passes(trees, est, p);
 
   // x_0: headroom on shared link = 2M - 1*32k; on (2,10) = 250k -> 3 layers.
   // x_1: 6 layers (headroom 2M - 32k >= 2016k... actually 1.968M < 2016k -> 5).
@@ -241,9 +258,8 @@ TEST(FairShareTest, NeverBelowBaseLayer) {
     in.nodes = {node(1, net::kInvalidNode), node(2, 1), receiver(100 + s, 2, 0.2, 2'000, 1)};
     trees.emplace_back(TreeIndex{in});
     label_congestion(trees.back(), p);
-    compute_bottlenecks(trees.back(), est);
   }
-  compute_fair_shares(trees, est, p);
+  run_link_passes(trees, est, p);
   for (const auto& lt : trees) {
     const auto leaf = static_cast<std::size_t>(lt.tree.size() - 1);
     EXPECT_GE(lt.share_bps[leaf], p.layers.base_rate.bps() - 1e-9);
@@ -256,8 +272,7 @@ TEST(FairShareTest, UnsharedInfiniteLinksStayInfinite) {
   std::vector<LabeledTree> trees;
   trees.emplace_back(TreeIndex{paper_tree(0.0, 0.0, 0.0)});
   label_congestion(trees.back(), p);
-  compute_bottlenecks(trees.back(), est);
-  compute_fair_shares(trees, est, p);
+  run_link_passes(trees, est, p);
   for (std::size_t i = 0; i < trees[0].tree.size(); ++i) {
     EXPECT_TRUE(std::isinf(trees[0].share_bps[i]));
   }

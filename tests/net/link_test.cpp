@@ -114,6 +114,7 @@ TEST_F(LinkFixture, PerGroupStatsTrackMulticastBytes) {
   network.send_multicast(p);
   simulation.run_until(1_s);
   const auto& stats = network.link(id).stats();
+  EXPECT_EQ(stats.delivered_bytes.count(), 1000u);
   EXPECT_EQ(network.link(id).delivered_bytes_for_group(GroupAddr{7, 2}).count(), 1000u);
 }
 

@@ -183,6 +183,22 @@ TEST(FluidEquivalenceTest, BurstEngineRunsAndIsDeterministic) {
   }
 }
 
+TEST(FluidEquivalenceTest, BurstTrainOfOneIsThePacketEngine) {
+  // One-packet trains are the per-packet model: same source, same random
+  // stream, same draws in the same order, so the closed loop is identical.
+  for (const auto model : {traffic::TrafficModel::kCbr, traffic::TrafficModel::kVbr}) {
+    ScenarioConfig burst = engine_config(TrafficEngine::kBurst, model);
+    burst.traffic.burst_train = 1;
+    auto packet = ScenarioBuilder(engine_config(TrafficEngine::kPacket, model))
+                      .topology_a(TopologyAOptions{})
+                      .build();
+    auto trains = ScenarioBuilder(burst).topology_a(TopologyAOptions{}).build();
+    packet->run();
+    trains->run();
+    EXPECT_EQ(fingerprint(*packet), fingerprint(*trains)) << static_cast<int>(model);
+  }
+}
+
 TEST(FluidEquivalenceTest, NonDividingFluidStepIsRejected) {
   ScenarioConfig cfg = engine_config(TrafficEngine::kFluid, traffic::TrafficModel::kCbr);
   cfg.traffic.fluid_step = sim::Time::milliseconds(33);  // does not divide 1 s

@@ -1,6 +1,5 @@
-// ScenarioBuilder: the fluent front door must reproduce the legacy factories
-// exactly, enforce its single-topology contract, and compose faults and
-// cross traffic.
+// ScenarioBuilder: the fluent front door must enforce its single-topology
+// contract and compose faults and cross traffic.
 #include "scenarios/scenario_builder.hpp"
 
 #include <gtest/gtest.h>
@@ -33,35 +32,6 @@ ScenarioConfig quick_config(std::uint64_t seed = 5) {
   cfg.duration = 60_s;
   return cfg;
 }
-
-// The deprecated factories must stay exact aliases of the builder while they
-// live out their deprecation period.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ScenarioBuilderTest, MatchesDeprecatedTopologyAFactory) {
-  auto legacy = Scenario::topology_a(quick_config(), TopologyAOptions{});
-  legacy->run();
-  auto built = ScenarioBuilder(quick_config()).topology_a(TopologyAOptions{}).build();
-  built->run();
-  EXPECT_EQ(fingerprint(*legacy), fingerprint(*built));
-}
-
-TEST(ScenarioBuilderTest, MatchesDeprecatedTopologyBFactory) {
-  auto legacy = Scenario::topology_b(quick_config(), TopologyBOptions{});
-  legacy->run();
-  auto built = ScenarioBuilder(quick_config()).topology_b(TopologyBOptions{}).build();
-  built->run();
-  EXPECT_EQ(fingerprint(*legacy), fingerprint(*built));
-}
-
-TEST(ScenarioBuilderTest, MatchesDeprecatedTieredFactory) {
-  auto legacy = Scenario::tiered(quick_config(), TieredOptions{});
-  legacy->run();
-  auto built = ScenarioBuilder(quick_config()).tiered(TieredOptions{}).build();
-  built->run();
-  EXPECT_EQ(fingerprint(*legacy), fingerprint(*built));
-}
-#pragma GCC diagnostic pop
 
 TEST(ScenarioBuilderTest, BuildWithoutTopologyThrows) {
   ScenarioBuilder builder{quick_config()};
