@@ -26,8 +26,9 @@ ControllerAgent::ControllerAgent(sim::Simulation& simulation, net::Network& netw
 }
 
 void ControllerAgent::register_receiver(net::SessionId session, net::NodeId receiver) {
-  auto& list = registered_[session];
-  if (std::find(list.begin(), list.end(), receiver) == list.end()) list.push_back(receiver);
+  if (registered_keys_.insert(key_of(session, receiver)).second) {
+    registered_[session].push_back(receiver);
+  }
   discovery_.track_session(session, static_cast<net::LayerId>(config_.params.layers.num_layers));
 }
 
@@ -253,7 +254,7 @@ void ControllerAgent::run_interval() {
       // Border pseudo-receivers are routers, never group members, so they are
       // admitted by registration alone; real receivers need both.
       if ((snapshot_receivers.count(node) != 0 || is_border(session, node)) &&
-          std::find(receivers.begin(), receivers.end(), node) != receivers.end()) {
+          registered_keys_.count(key_of(session, node)) != 0) {
         const ReportAggregate agg = aggregate_reports(session, node, report_cutoff);
         n.is_receiver = true;
         n.loss_rate = agg.loss_rate;

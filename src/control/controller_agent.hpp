@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "control/accounting.hpp"
@@ -174,6 +175,9 @@ class ControllerAgent final : public AdaptationController {
   /// Ordered map: run_interval iterates this to build AlgorithmInput, and the
   /// session order must not depend on hash-table layout (determinism lint).
   std::map<net::SessionId, std::vector<net::NodeId>> registered_;
+  /// (session<<32|receiver) for every entry of registered_: the O(1)
+  /// duplicate check and run_interval's membership test (lookup-only).
+  std::unordered_set<std::uint64_t> registered_keys_;
   /// (session<<32|receiver) -> recent reports, newest at the back.
   std::unordered_map<std::uint64_t, std::deque<transport::ReceiverReport>> reports_;
   core::AlgorithmOutput last_output_;

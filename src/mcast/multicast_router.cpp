@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <stdexcept>
 
 namespace tsim::mcast {
+
+namespace {
+/// Sorts `edges` by (parent, child) and drops duplicates: the sequence a
+/// std::set of the same pairs would iterate, built in one contiguous buffer.
+void sort_unique(std::vector<std::pair<net::NodeId, net::NodeId>>& edges) {
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+}
+}  // namespace
 
 MulticastRouter::MulticastRouter(sim::Simulation& simulation, net::Network& network,
                                  Config config)
@@ -116,14 +124,13 @@ void MulticastRouter::rebuild_tree(net::GroupAddr group, GroupState& state) {
   tree.source = session_source(group.session);
   const sim::Time now = simulation_.now();
 
-  std::set<std::pair<net::NodeId, net::NodeId>> edge_set;
   const net::RoutingTable& routes = network_.routes();
   tree.fan.assign(network_.node_count(), {});
 
-  // Per-member work is independent and accumulates into the ordered edge_set,
-  // so the hash iteration order never reaches the finished tree. The CSR
-  // deliver flags land in distinct NodeId slots, so order never shows there
-  // either.
+  // Per-member work is independent and its edges are sorted and deduplicated
+  // below, so the hash iteration order never reaches the finished tree. The
+  // CSR deliver flags land in distinct NodeId slots, so order never shows
+  // there either.
   for (const auto& [member, ms] : state.members) {  // NOLINT-determinism(order-free)
     const bool carries_traffic = ms.local_active || ms.forward_until > now;
     if (!carries_traffic) continue;
@@ -134,17 +141,17 @@ void MulticastRouter::rebuild_tree(net::GroupAddr group, GroupState& state) {
     if (member == tree.source) continue;
     const std::vector<net::NodeId> path = routes.path(tree.source, member);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      edge_set.emplace(path[i], path[i + 1]);
+      tree.edges.emplace_back(path[i], path[i + 1]);
     }
   }
+  sort_unique(tree.edges);
 
-  // edge_set is sorted by (parent, child), so each parent's links form one
+  // The edges are sorted by (parent, child), so each parent's links form one
   // contiguous run: exactly the CSR span route() replicates from.
-  tree.fan_links.reserve(edge_set.size());
-  for (const auto& [parent, child] : edge_set) {
+  tree.fan_links.reserve(tree.edges.size());
+  for (const auto& [parent, child] : tree.edges) {
     const net::LinkId link = routes.next_hop(parent, child);
     tree.entries[parent].out_links.push_back(link);
-    tree.edges.emplace_back(parent, child);
     GroupTree::FanSlot& slot = tree.fan[parent];
     if (slot.count == 0) slot.offset = static_cast<std::uint32_t>(tree.fan_links.size());
     if (slot.count == std::numeric_limits<std::uint32_t>::max()) {
@@ -199,13 +206,14 @@ void MulticastRouter::corrupt_tree_edge_for_test(net::GroupAddr group) {
 
 std::vector<std::pair<net::NodeId, net::NodeId>> MulticastRouter::session_tree_edges(
     net::SessionId session, net::LayerId max_layer) const {
-  std::set<std::pair<net::NodeId, net::NodeId>> edge_set;
+  std::vector<std::pair<net::NodeId, net::NodeId>> edges;
   for (net::LayerId layer = 1; layer <= max_layer; ++layer) {
     const GroupTree* t = tree(net::GroupAddr{session, layer});
     if (t == nullptr) continue;
-    edge_set.insert(t->edges.begin(), t->edges.end());
+    edges.insert(edges.end(), t->edges.begin(), t->edges.end());
   }
-  return {edge_set.begin(), edge_set.end()};
+  sort_unique(edges);
+  return edges;
 }
 
 void MulticastRouter::on_topology_change() {

@@ -149,6 +149,9 @@ class Network {
 
   [[nodiscard]] LinkHot& link_hot(LinkId id) { return link_hot_[id]; }
   [[nodiscard]] const LinkHot& link_hot(LinkId id) const { return link_hot_[id]; }
+  /// Fixed-at-build link parameters from the dense table, so per-step walks
+  /// (the fluid engine) never touch the cold Link object.
+  [[nodiscard]] const LinkParams& link_params(LinkId id) const { return link_params_[id]; }
 
   /// Credits one integration step's worth of fluid-model traffic on link
   /// `id` into the same counters the packet datapath maintains: the LinkHot

@@ -24,9 +24,9 @@ void MtraceDiscovery::track_session(net::SessionId session, net::LayerId max_lay
 }
 
 void MtraceDiscovery::register_receiver(net::SessionId session, net::NodeId receiver) {
-  auto& list = receivers_[session];
-  if (std::find(list.begin(), list.end(), receiver) != list.end()) return;
-  list.push_back(receiver);
+  const std::uint64_t key = (static_cast<std::uint64_t>(session) << 32) | receiver;
+  if (!registered_keys_.insert(key).second) return;
+  receivers_[session].push_back(receiver);
 
   // Responder: reply with the source->receiver hop path and layer membership.
   // The path comes from the routing state real mtrace would collect hop by

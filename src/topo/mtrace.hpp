@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "mcast/multicast_router.hpp"
@@ -83,6 +84,9 @@ class MtraceDiscovery final : public TopologyProvider {
   // order queries enter the network, which must be deterministic.
   std::map<net::SessionId, net::LayerId> tracked_;
   std::map<net::SessionId, std::vector<net::NodeId>> receivers_;
+  /// (session<<32|receiver) for every entry of receivers_: the O(1)
+  /// duplicate check (lookup-only).
+  std::unordered_set<std::uint64_t> registered_keys_;
   std::vector<MtraceResponse> pending_;  ///< responses of the current round
   std::unordered_map<net::SessionId, TopologySnapshot> latest_;
   std::uint32_t round_{0};

@@ -53,6 +53,10 @@ void FluidEngine::ensure_capacity() {
     cells_.resize(groups);
     members_.resize(groups);
   }
+  // Link and node counts only grow, so once a row is wide enough these are
+  // size checks.
+  for (auto& row : cells_) row.resize(link_state_.size());
+  for (auto& row : members_) row.resize(network_.node_count());
 }
 
 void FluidEngine::touch(net::LinkId link) {
@@ -65,7 +69,7 @@ void FluidEngine::touch(net::LinkId link) {
   if (gap > 0 && st.last_step > 0) {
     // The link sat idle for `gap` full steps: nothing was offered, so the
     // backlog drained at line rate and any stale loss fraction is over.
-    const double drained = network_.link(link).bandwidth().bps() *
+    const double drained = network_.link_params(link).bandwidth.bps() *
                            config_.step.as_seconds() * static_cast<double>(gap);
     st.queue.backlog_bits =
         st.queue.backlog_bits > drained ? st.queue.backlog_bits - drained : 0.0;
@@ -99,7 +103,7 @@ void FluidEngine::walk_offered(const mcast::GroupTree& tree, double rate) {
       st.offered += inflow;
       // Pass B must visit exactly this link set, so descend even at rate 0.
       // HOTPATH_ALLOW(container-growth: walk stack bounded by tree edges; capacity reserved by ensure_capacity)
-      stack_.push_back({network_.link(link).to(), inflow * (1.0 - st.loss_prev)});
+      stack_.push_back({network_.link_params(link).to, inflow * (1.0 - st.loss_prev)});
     }
   }
 }
@@ -166,7 +170,7 @@ void FluidEngine::walk_credit(const mcast::GroupTree& tree, net::GroupAddr group
       const double delivered = inflow * (1.0 - link_state_[link].loss_now);
       credit_cell(cells[link], gid, link, inflow, delivered, source_packet_size);
       // HOTPATH_ALLOW(container-growth: walk stack bounded by tree edges; capacity reserved by ensure_capacity)
-      stack_.push_back({network_.link(link).to(), delivered});
+      stack_.push_back({network_.link_params(link).to, delivered});
     }
   }
 }
@@ -199,11 +203,12 @@ void FluidEngine::step() {
       // turn this step's aggregate offered rate into its loss fraction.
       for (const net::LinkId link : touched_) {
         LinkState& st = link_state_[link];
-        const net::Link& l = network_.link(link);
-        const units::Bytes limit{static_cast<std::uint64_t>(l.queue_limit()) *
-                                 config_.packet_size_bytes};
+        const units::Bytes limit{
+            static_cast<std::uint64_t>(network_.link_hot(link).queue_limit) *
+            config_.packet_size_bytes};
         st.loss_now = net::fluid_queue_step(st.queue, units::BitsPerSec{st.offered},
-                                            l.bandwidth(), limit, config_.step);
+                                            network_.link_params(link).bandwidth, limit,
+                                            config_.step);
         st.last_step = steps_;
       }
     }

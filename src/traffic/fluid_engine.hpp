@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,8 +39,8 @@ namespace tsim::traffic {
 /// end, so joins at t=0 are live in the very first step.
 ///
 /// Determinism: sources are walked in add order, layers in order, tree links
-/// in CSR order, background flows in add order; the unordered_maps here are
-/// lookup-only (never iterated). All timing derives from sim::Time.
+/// in CSR order, background flows in add order. All timing derives from
+/// sim::Time.
 class FluidEngine {
  public:
   struct Config {
@@ -122,8 +121,8 @@ class FluidEngine {
 
   void step();
   HOT_PATH_EXEMPT(
-      "per-step capacity warm-up: resizes the link table and reserves the walk scratch "
-      "only when the topology or group count grew; a size check thereafter")
+      "per-step capacity warm-up: resizes the link table and credit rows and reserves the "
+      "walk scratch only when the topology or group count grew; a size check thereafter")
   void ensure_capacity();
   /// Marks a link as carrying fluid this step; on the first touch after an
   /// idle gap, drains the backlog for the gap at line rate and zeroes the
@@ -154,10 +153,12 @@ class FluidEngine {
   std::vector<BackgroundFlow> background_;
   std::vector<LinkState> link_state_;
   std::vector<net::LinkId> touched_;
-  /// Per-group-stats-id cell/member maps (lookup-only; iteration always goes
-  /// through the deterministic tree walk).
-  std::vector<std::unordered_map<net::LinkId, Cell>> cells_;
-  std::vector<std::unordered_map<net::NodeId, MemberCredit>> members_;
+  /// Credit state, one dense row per group-stats id: cells_[gid] by LinkId
+  /// (the layout of Network::group_delivered_cell), members_[gid] by NodeId.
+  /// LinkId, not fan slot, keys the cells so their cumulative accumulators
+  /// survive tree rebuilds. ensure_capacity() is the only place rows grow.
+  std::vector<std::vector<Cell>> cells_;
+  std::vector<std::vector<MemberCredit>> members_;
   std::vector<std::pair<net::NodeId, double>> stack_;  ///< walk scratch
   std::uint64_t steps_{0};
 };

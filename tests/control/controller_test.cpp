@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "control/receiver_agent.hpp"
 #include "mcast/multicast_router.hpp"
@@ -135,6 +138,78 @@ TEST_F(ControlFixture, SlowReportingStillConverges) {
   build(10e6, Time::zero(), 4_s);
   simulation.run_until(90_s);
   EXPECT_EQ(endpoint->subscription(), 6);
+}
+
+/// Registration bookkeeping without traffic: src -- r -- {a, b, x} and
+/// x -- y. The controller's discovery is scoped to {src, r, a, b, x}, so x
+/// is a leaf of its snapshot, the way a child domain's border is.
+struct MembershipFixture : ::testing::Test {
+  sim::Simulation simulation{3};
+  net::Network network{simulation};
+  net::NodeId src{network.add_node("src")};
+  net::NodeId r{network.add_node("r")};
+  net::NodeId a{network.add_node("a")};
+  net::NodeId b{network.add_node("b")};
+  net::NodeId x{network.add_node("x")};
+  net::NodeId y{network.add_node("y")};
+  mcast::MulticastRouter mcast{simulation, network, {}};
+  transport::DemuxRegistry demuxes{network};
+  std::unique_ptr<topo::DiscoveryService> discovery;
+  std::unique_ptr<ControllerAgent> controller;
+
+  MembershipFixture() {
+    for (const auto& [from, to] : {std::pair{src, r}, {r, a}, {r, b}, {r, x}, {x, y}}) {
+      network.add_duplex_link(from, to, tsim::units::BitsPerSec{10e6}, 10_ms);
+    }
+    network.compute_routes();
+    mcast.set_session_source(0, src);
+    topo::DiscoveryService::Config dcfg;
+    dcfg.domain_nodes = {src, r, a, b, x};
+    dcfg.domain_root = src;
+    discovery = std::make_unique<topo::DiscoveryService>(simulation, mcast, dcfg);
+    ControllerAgent::Config ccfg;
+    ccfg.node = src;
+    controller = std::make_unique<ControllerAgent>(simulation, network, *discovery,
+                                                   demuxes.at(src), ccfg);
+  }
+};
+
+TEST_F(MembershipFixture, DuplicateRegistrationIsIgnoredAndOrderKept) {
+  controller->register_receiver(0, b);
+  controller->register_receiver(0, a);
+  controller->register_receiver(1, y);
+  controller->register_receiver(0, b);
+  controller->register_receiver(0, a);
+  controller->register_receiver(1, y);
+  controller->register_border_receiver(0, a);  // already a receiver: no second entry
+  const std::map<net::SessionId, std::vector<net::NodeId>> expected{{0, {b, a}}, {1, {y}}};
+  EXPECT_EQ(controller->registered(), expected);
+}
+
+TEST_F(MembershipFixture, AlgorithmInputAdmitsOnlyRegisteredReceivers) {
+  // a is a registered member; b is a member that never registered; x is a
+  // registered border pseudo-receiver and no member at all.
+  for (const net::NodeId member : {a, b, y}) mcast.join(member, net::GroupAddr{0, 1});
+  controller->register_receiver(0, a);
+  controller->register_border_receiver(0, x);
+
+  std::map<net::NodeId, bool> is_receiver;
+  controller->set_audit_hook(
+      [&is_receiver](const core::AlgorithmInput& input, const core::AlgorithmOutput&) {
+        if (!is_receiver.empty()) return;
+        for (const core::SessionInput& session : input.sessions) {
+          for (const core::SessionNodeInput& node : session.nodes) {
+            is_receiver[node.node] = node.is_receiver;
+          }
+        }
+      });
+  discovery->start();
+  controller->start();
+  simulation.run_until(3_s);
+
+  const std::map<net::NodeId, bool> expected{
+      {src, false}, {r, false}, {a, true}, {b, false}, {x, true}};
+  EXPECT_EQ(is_receiver, expected);
 }
 
 TEST(ReceiverAgentTest, UnilateralDropOnSuggestionSilence) {

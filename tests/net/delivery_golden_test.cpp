@@ -10,6 +10,11 @@
 // perturbs delivery order, drop decisions, or stats accounting fails here
 // long before the scale bench or the e2e baseline would notice.
 //
+// A second case does the same for the fluid engine: every LinkHot counter,
+// every per-(group, link) cell, and each endpoint's totals and subscription
+// timeline, recorded while the engine kept its credit state in per-group
+// hash maps.
+//
 // If this test fails after an INTENTIONAL behaviour change (not a layout
 // change), re-record: run with --gtest_also_run_disabled_tests and copy the
 // printed fingerprint, noting the behaviour change in the commit message.
@@ -21,6 +26,8 @@
 
 #include "mcast/multicast_router.hpp"
 #include "net/network.hpp"
+#include "scenarios/scenario.hpp"
+#include "scenarios/topology_file.hpp"
 #include "sim/simulation.hpp"
 #include "traffic/layered_source.hpp"
 #include "transport/demux.hpp"
@@ -142,6 +149,78 @@ TEST(DeliveryGoldenTest, FingerprintPinnedAcrossLayoutChanges) {
 
 TEST(DeliveryGoldenTest, FingerprintIsStableAcrossRuns) {
   EXPECT_EQ(GoldenFixture{}.run(), GoldenFixture{}.run());
+}
+
+/// The fluid datapath's counterpart: two VBR sessions share core->hub, a
+/// background flow crosses it from 10 s to 50 s, receiver a stops at 40 s and
+/// receiver c starts late at 25 s. The TopoSense closed loop drives every
+/// subscription, so a changed loss fraction anywhere surfaces in the
+/// timelines as well as in the credited counters.
+std::uint64_t run_fluid_golden() {
+  constexpr const char* kTopology =
+      "node src0\nnode src1\nnode core\nnode hub\nnode a\nnode b\nnode c\n"
+      "link src0 core 10Mbps 10ms\n"
+      "link src1 core 10Mbps 10ms\n"
+      "link core hub 1Mbps 20ms queue 20\n"
+      "link hub a 512kbps 20ms queue 10\n"
+      "link hub b 2Mbps 20ms\n"
+      "link hub c 256kbps 20ms queue 8\n"
+      "source 0 src0\nsource 1 src1\n"
+      "receiver a 0 stop 40\n"
+      "receiver b 0\n"
+      "receiver b 1\n"
+      "receiver c 1 start 25\n"
+      "controller core\n"
+      "traffic fluid\n";
+  const scenarios::ParseResult parsed = scenarios::parse_topology(kTopology);
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  if (!parsed.ok()) return 0;
+  scenarios::ScenarioConfig config;
+  config.seed = 42;
+  config.duration = 60_s;
+  config.traffic.model = traffic::TrafficModel::kVbr;
+  auto scenario = scenarios::Scenario::from_description(config, *parsed.description);
+  scenario->add_cross_traffic({"src1", "b", 300e3, 10_s, 50_s});
+  scenario->run();
+
+  const Network& network = scenario->network();
+  std::uint64_t h = kFnvOffset;
+  fold(h, scenario->fluid_engine()->steps_executed());
+  for (LinkId id = 0; id < network.link_count(); ++id) {
+    const LinkHot& hot = network.link_hot(id);
+    fold(h, hot.enqueued_packets);
+    fold(h, hot.enqueued_bytes);
+    fold(h, hot.delivered_packets);
+    fold(h, hot.delivered_bytes);
+    fold(h, hot.dropped_packets);
+    fold(h, hot.dropped_bytes);
+    fold(h, hot.transmitting_bytes);
+    fold(h, hot.queue_len);
+    for (std::uint32_t g = 0; g < network.group_stats_count(); ++g) {
+      fold(h, network.group_delivered_cell(g, id));
+      fold(h, network.group_dropped_cell(g, id));
+    }
+  }
+  for (std::size_t i = 0; i < scenario->endpoints().size(); ++i) {
+    const transport::ReceiverEndpoint& rx = *scenario->endpoints()[i];
+    fold(h, rx.total_bytes().count());
+    fold(h, rx.total_packets().count());
+    fold(h, rx.total_lost_packets().count());
+    fold(h, static_cast<std::uint64_t>(rx.subscription()));
+    for (const auto& [when, level] : scenario->result(i).timeline.points()) {
+      fold(h, static_cast<std::uint64_t>(when.as_nanoseconds()));
+      fold(h, static_cast<std::uint64_t>(level));
+    }
+  }
+  return h;
+}
+
+TEST(DeliveryGoldenTest, FluidFingerprintPinnedAcrossLayoutChanges) {
+  const std::uint64_t got = run_fluid_golden();
+  // Recorded on the hash-map credit layout; the dense credit rows must
+  // reproduce it bit-for-bit.
+  constexpr std::uint64_t kGolden = 0xb5146a9dcff0fc6full;
+  EXPECT_EQ(got, kGolden) << "fluid delivery fingerprint changed: 0x" << std::hex << got;
 }
 
 }  // namespace

@@ -65,6 +65,16 @@ TEST_F(MtraceFixture, QueriesAreLinearInReceivers) {
   EXPECT_EQ(discovery->responses_received(), 22u);
 }
 
+TEST_F(MtraceFixture, DuplicateRegistrationInstallsOneResponder) {
+  mcast.join(a, net::GroupAddr{0, 1});
+  discovery->register_receiver(0, a);
+  discovery->register_receiver(0, a);
+  discovery->start();
+  simulation.run_until(500_ms);  // one round, assembled at 500 ms
+  EXPECT_EQ(discovery->queries_sent(), 1u);
+  EXPECT_EQ(discovery->responses_received(), 1u);
+}
+
 TEST_F(MtraceFixture, NonSubscribedReceiverExcluded) {
   mcast.join(a, net::GroupAddr{0, 1});
   // b registered with the tool but never joined any group.

@@ -20,11 +20,13 @@ Fails (exit 1) when any gated case has:
   * deterministic=false (scale cases run twice; the two fingerprints must
     agree).
 
-A baseline case may set "gate": "determinism" to skip the exact-fingerprint
-pin while keeping the determinism and throughput gates. The multi-shard star
-cases (star_sharded_2/4) use this: their fingerprints hash a partitioned
-topology whose shape is a bench implementation detail, so re-partitioning is
-not a behaviour change — but every run must still be bit-identical across
+A baseline case may set "gate": "determinism" to be gated on determinism
+alone: no fingerprint pin and no throughput floor, only deterministic=true.
+The multi-shard star cases (star_sharded_2/4) use this. Their fingerprints
+hash a partitioned topology whose shape is a bench implementation detail, so
+re-partitioning is not a behaviour change. Their quick-tier runs last about
+10 ms, so thread-pool start-up dominates their events/s and a floor on it
+flakes from host to host. Every run must still be bit-identical across
 thread counts, and the 1-shard case stays exactly pinned (it must reduce to
 star_fanout, which bench_runner itself asserts).
 
@@ -45,16 +47,21 @@ def gate_case(label, candidate, baseline, threshold, failures, skip_throughput=F
     """Gates one case dict (fingerprint, throughput, determinism)."""
     cand_fp = candidate.get("fingerprint")
     base_fp = baseline.get("fingerprint")
-    exact_fingerprint = baseline.get("gate", "exact") != "determinism"
-    if exact_fingerprint and cand_fp != base_fp:
+    if candidate.get("deterministic") is False:
+        failures.append(f"{label}: run is not deterministic (re-run fingerprint differs)")
+    cand_eps = float(candidate["events_per_sec"])
+    if baseline.get("gate", "exact") == "determinism":
+        print(
+            f"perf gate [{label}]: {cand_eps / 1e6:.2f}M events/s "
+            f"(determinism gate only), fingerprint {cand_fp}"
+        )
+        return
+    if cand_fp != base_fp:
         failures.append(
             f"{label}: fingerprint changed: {cand_fp} vs baseline {base_fp} — "
             "behaviour changed; if intentional, re-record the baseline"
         )
-    if candidate.get("deterministic") is False:
-        failures.append(f"{label}: run is not deterministic (re-run fingerprint differs)")
     base_eps = float(baseline["events_per_sec"])
-    cand_eps = float(candidate["events_per_sec"])
     floor = base_eps / threshold
     if skip_throughput:
         print(
