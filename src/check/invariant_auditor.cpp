@@ -147,7 +147,7 @@ void InvariantAuditor::start() {
 void InvariantAuditor::check_links() {
   for (net::LinkId id = 0; id < network_->link_count(); ++id) {
     const net::Link& link = network_->link(id);
-    const net::LinkStats& s = link.stats();
+    const net::LinkStats s = link.stats();
 
     const std::uint64_t in_transmitter = link.transmitting() ? 1 : 0;
     const std::uint64_t packets_out =
@@ -217,9 +217,9 @@ void InvariantAuditor::check_clean_trees() {
 }
 
 /// Invariants: the tree is rooted at the session source, acyclic, every child
-/// has one parent, every edge maps to a live link in the current topology
-/// epoch, and every locally-delivering member the topology can reach is on
-/// the tree.
+/// has one parent, the CSR fan-out agrees with the edge list, every edge's
+/// forwarding link is up in the current topology epoch, and every
+/// locally-delivering member the topology can reach is on the tree.
 void InvariantAuditor::check_group_tree(net::GroupAddr group, const mcast::GroupTree& tree) {
   if (!enabled()) return;
   const std::string tag = group_tag(group);
@@ -277,66 +277,52 @@ void InvariantAuditor::check_group_tree(net::GroupAddr group, const mcast::Group
     }
   }
 
-  // CSR coherence: the dense fan-out tables route() replicates from must
-  // mirror the sparse entries view exactly — same spans, same link order,
-  // same local-delivery flags, and no fan-out outside any entry's span.
-  std::uint64_t entry_links = 0;
-  for (const auto& [node, entry] : tree.entries) {  // NOLINT-determinism(order-free)
-    entry_links += entry.out_links.size();
-    if (node >= tree.fan.size()) {
-      report(Violation{"mcast.tree_csr", now(), epoch(), node, net::kInvalidLink,
-                       tag + ": entry node has no fan slot"});
-      continue;
+  // CSR coherence: route() replicates from the fan spans, while discovery
+  // hands the controller `edges`; both must describe one tree. Pool slot
+  // offset + k of parent p carries p's k-th edge, so every edge must find its
+  // link in its parent's span, in edge order, leading to the edge's child.
+  // That link is the one packets ride, so the dead-edge check reads it too.
+  std::vector<std::uint32_t> placed(tree.fan.size(), 0);
+  for (const auto& [parent, child] : tree.edges) {
+    net::LinkId link = net::kInvalidLink;
+    if (parent < tree.fan.size()) {
+      const mcast::GroupTree::FanSlot& slot = tree.fan[parent];
+      const std::uint32_t k = placed[parent]++;
+      const std::size_t at = static_cast<std::size_t>(slot.offset) + k;
+      if (k < slot.count && at < tree.fan_links.size()) link = tree.fan_links[at];
     }
-    const mcast::GroupTree::FanSlot& slot = tree.fan[node];
-    const bool span_ok =
-        slot.count == entry.out_links.size() &&
-        static_cast<std::size_t>(slot.offset) + slot.count <= tree.fan_links.size() &&
-        std::equal(entry.out_links.begin(), entry.out_links.end(),
-                   tree.fan_links.begin() + slot.offset);
-    if (!span_ok || (slot.deliver_locally != 0) != entry.deliver_locally) {
-      report(Violation{"mcast.tree_csr", now(), epoch(), node, net::kInvalidLink,
-                       tag + ": fan slot disagrees with entry (span " +
-                           std::to_string(slot.offset) + "+" + std::to_string(slot.count) +
-                           " of " + std::to_string(tree.fan_links.size()) + " links)"});
+    const bool leads_to_child =
+        link != net::kInvalidLink &&
+        (network_ == nullptr ||
+         (link < network_->link_count() && network_->link(link).from() == parent &&
+          network_->link_params(link).to == child));
+    if (!leads_to_child) {
+      report(Violation{"mcast.tree_csr", now(), epoch(), parent, link,
+                       tag + ": edge " + std::to_string(parent) + "->" + std::to_string(child) +
+                           " has no link to the child in the parent's fan span"});
+    } else if (network_ != nullptr && !network_->link(link).is_up()) {
+      report(Violation{"mcast.tree_dead_edge", now(), epoch(), parent, link,
+                       tag + ": edge " + std::to_string(parent) + "->" + std::to_string(child) +
+                           " rides a link that is down"});
     }
   }
-  if (entry_links != tree.fan_links.size()) {
+  std::uint64_t span_links = 0;
+  for (const mcast::GroupTree::FanSlot& slot : tree.fan) span_links += slot.count;
+  if (tree.fan_links.size() != tree.edges.size() || span_links != tree.edges.size()) {
     report(Violation{"mcast.tree_csr", now(), epoch(), tree.source, net::kInvalidLink,
-                     tag + ": fan pool holds " + std::to_string(tree.fan_links.size()) +
-                         " links, entries hold " + std::to_string(entry_links)});
+                     tag + ": fan spans cover " + std::to_string(span_links) +
+                         " links and the pool holds " + std::to_string(tree.fan_links.size()) +
+                         " for " + std::to_string(tree.edges.size()) + " edges"});
   }
 
   if (network_ != nullptr) {
-    for (const auto& [parent, child] : tree.edges) {
-      bool alive = false;
-      net::LinkId seen_link = net::kInvalidLink;
-      for (const net::LinkId lid : network_->links_between(parent, child)) {
-        const net::Link& link = network_->link(lid);
-        if (link.from() != parent || link.to() != child) continue;
-        seen_link = lid;
-        if (link.is_up()) alive = true;
-      }
-      if (!alive) {
-        report(Violation{"mcast.tree_dead_edge", now(), epoch(), parent, seen_link,
-                         tag + ": edge " + std::to_string(parent) + "->" +
-                             std::to_string(child) +
-                             (seen_link == net::kInvalidLink ? " has no link"
-                                                            : " rides a link that is down")});
-      }
-    }
-
     // Orphans: a member still marked for local delivery that the tree does
     // not reach, even though the topology has a path for it. Members with no
     // physical path are excused — the router keeps them for re-grafting once
     // the partition heals, which is correct behaviour, not a stale tree.
-    std::vector<net::NodeId> delivering;
-    for (const auto& [node, entry] : tree.entries) {  // NOLINT-determinism(sorted below)
-      if (entry.deliver_locally) delivering.push_back(node);
-    }
-    std::sort(delivering.begin(), delivering.end());
     const net::RoutingTable& routes = network_->routes();
-    for (const net::NodeId node : delivering) {
+    for (net::NodeId node = 0; node < tree.fan.size(); ++node) {
+      if (tree.fan[node].deliver_locally == 0) continue;
       if (node == tree.source || reached.count(node) != 0) continue;
       if (routes.path(tree.source, node).empty()) continue;
       report(Violation{"mcast.tree_orphan_receiver", now(), epoch(), node, net::kInvalidLink,

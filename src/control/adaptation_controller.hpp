@@ -22,10 +22,10 @@ struct ControllerStats {
 
 /// The adaptation scheme driving a set of receivers, behind one interface so
 /// scenario wiring and the per-domain composition in DomainManager never
-/// branch on a controller kind. Implementations: ControllerAgent (the paper's
-/// controller, usable standalone), TopoSenseDomain (controller + discovery +
-/// watchdogs as one domain unit), baseline::ReceiverDrivenController (RLM
-/// family) and NullController (receivers stay at their initial subscription).
+/// branch on a controller kind. Implementations: TopoSenseDomain (the paper's
+/// ControllerAgent + discovery + watchdogs as one domain unit),
+/// baseline::ReceiverDrivenController (RLM family) and NullController
+/// (receivers stay at their initial subscription).
 ///
 /// Lifecycle contract (the scenario's finalize order, which fingerprint tests
 /// pin): construct -> register_receiver() for every endpoint -> start() when

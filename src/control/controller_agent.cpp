@@ -32,11 +32,6 @@ void ControllerAgent::register_receiver(net::SessionId session, net::NodeId rece
   discovery_.track_session(session, static_cast<net::LayerId>(config_.params.layers.num_layers));
 }
 
-ReceiverAgent* ControllerAgent::register_receiver(transport::ReceiverEndpoint& endpoint) {
-  register_receiver(endpoint.config().session, endpoint.config().node);
-  return nullptr;
-}
-
 void ControllerAgent::start() {
   simulation_.at(config_.start, [this]() { run_interval(); });
 }

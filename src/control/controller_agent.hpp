@@ -34,7 +34,10 @@ namespace tsim::control {
 /// ingest_border_summary), and the parent's prescription for that border
 /// comes back as a subscription cap the child clamps its own prescriptions
 /// to (set_session_cap).
-class ControllerAgent final : public AdaptationController {
+///
+/// Scenarios run the agent inside a TopoSenseDomain, which adds the topology
+/// provider and the per-receiver watchdogs and is the AdaptationController.
+class ControllerAgent final {
  public:
   struct Config {
     net::NodeId node{net::kInvalidNode};
@@ -51,19 +54,15 @@ class ControllerAgent final : public AdaptationController {
                   topo::TopologyProvider& discovery, transport::PacketDemux& demux,
                   Config config);
 
+  ControllerAgent(const ControllerAgent&) = delete;
+  ControllerAgent& operator=(const ControllerAgent&) = delete;
+
   /// Receivers register on session join (§II); registration is a direct call
   /// because the paper treats it as out-of-band setup.
   void register_receiver(net::SessionId session, net::NodeId receiver);
 
-  /// AdaptationController: registers by the endpoint's (session, node). The
-  /// bare agent installs no per-receiver watchdog (TopoSenseDomain does).
-  ReceiverAgent* register_receiver(transport::ReceiverEndpoint& endpoint) override;
-
   /// Starts the periodic algorithm runs at config.start.
-  void start() override;
-
-  /// The bare agent owns no per-receiver policy agents.
-  void start_receiver_policies() override {}
+  void start();
 
   /// Fault hook: while disabled the controller neither consumes reports nor
   /// computes/sends suggestions (its interval timer keeps ticking so a
@@ -79,10 +78,10 @@ class ControllerAgent final : public AdaptationController {
   /// that forgot charges on every crash would be useless. Session caps and
   /// border registrations (multi-domain state) are configuration, not learned
   /// state, and also survive.
-  void set_enabled(bool enabled) override;
-  [[nodiscard]] bool enabled() const override { return enabled_; }
+  void set_enabled(bool enabled);
+  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] std::uint64_t outages() const { return outages_; }
-  [[nodiscard]] ControllerStats stats() const override;
+  [[nodiscard]] ControllerStats stats() const;
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const core::TopoSense& algorithm() const { return algorithm_; }

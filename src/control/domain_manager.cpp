@@ -24,7 +24,6 @@ TopoSenseDomain::TopoSenseDomain(sim::Simulation& simulation, net::Network& netw
 
 ReceiverAgent* TopoSenseDomain::register_receiver(transport::ReceiverEndpoint& endpoint) {
   agent_->register_receiver(endpoint.config().session, endpoint.config().node);
-  if (!config_.install_watchdogs) return nullptr;
   watchdogs_.push_back(
       std::make_unique<ReceiverAgent>(simulation_, endpoint, config_.watchdog));
   return watchdogs_.back().get();
@@ -74,8 +73,6 @@ DomainManager::DomainManager(sim::Simulation& simulation, net::Network& network,
     }
     if (auto* unit = dynamic_cast<TopoSenseDomain*>(entry.scheme.get())) {
       entry.agent = &unit->agent();
-    } else {
-      entry.agent = dynamic_cast<ControllerAgent*>(entry.scheme.get());
     }
   }
 

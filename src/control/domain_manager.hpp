@@ -40,7 +40,6 @@ class TopoSenseDomain final : public AdaptationController {
   struct Config {
     ControllerAgent::Config agent{};
     ReceiverAgent::Config watchdog{};
-    bool install_watchdogs{true};
   };
 
   TopoSenseDomain(sim::Simulation& simulation, net::Network& network,

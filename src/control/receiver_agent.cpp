@@ -28,9 +28,7 @@ sim::Time ReceiverAgent::silence_horizon() const {
 
 void ReceiverAgent::start() {
   last_suggestion_ = config_.start;
-  if (config_.enable_unilateral) {
-    simulation_.at(config_.start + config_.check_period, [this]() { check_silence(); });
-  }
+  simulation_.at(config_.start + config_.check_period, [this]() { check_silence(); });
 }
 
 void ReceiverAgent::note_gap(sim::Time now) {
@@ -65,8 +63,7 @@ void ReceiverAgent::check_silence() {
         if (unilateral_hook_) {
           unilateral_hook_(UnilateralAction{false, loss, starved, endpoint_.subscription()});
         }
-      } else if (config_.enable_unilateral_add && !starved &&
-                 loss < config_.unilateral_add_loss &&
+      } else if (!starved && loss < config_.unilateral_add_loss &&
                  window.received_packets > units::PacketCount::zero() &&
                  endpoint_.subscription() <
                      static_cast<int>(endpoint_.config().layers.num_layers) &&

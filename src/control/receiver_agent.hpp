@@ -47,8 +47,6 @@ class ReceiverAgent {
     /// Minimum spacing between unilateral adds — a failed probe costs several
     /// seconds of congestion, so probes must be far apart.
     sim::Time add_holdoff{sim::Time::seconds(20)};
-    bool enable_unilateral{true};
-    bool enable_unilateral_add{true};
     sim::Time start{sim::Time::zero()};
   };
 

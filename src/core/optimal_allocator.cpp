@@ -116,40 +116,37 @@ std::vector<Prescription> OptimalAllocator::allocate(
 
   // Greedy lexicographic max-min: repeatedly raise the lowest unblocked
   // receiver (ties by discovery order); stop when all are blocked or maxed.
-  while (true) {
-    int best = -1;
+  // Every receiver starts at 0 and a blocked one stays blocked, so that order
+  // is a level sweep: at level L every unblocked receiver sits at L, and each
+  // is raised to L + 1 or blocked, in receiver order, before any moves on.
+  for (int level = 0; level < layers_.num_layers; ++level) {
+    const int next = level + 1;
     for (std::size_t r = 0; r < refs.size(); ++r) {
-      if (blocked[r] || levels[r] >= layers_.num_layers) continue;
-      if (best < 0 || levels[r] < levels[static_cast<std::size_t>(best)]) {
-        best = static_cast<int>(r);
+      if (blocked[r]) continue;
+      const std::size_t si = refs[r].session_index;
+      bool ok = true;
+      for (const std::size_t li : paths[r]) {
+        const TrackedLink& link = links[li];
+        if (next <= link.session_max[si]) continue;  // this link's max is elsewhere
+        const double usage = link.usage - layers_.cumulative_rate(link.session_max[si]).bps() +
+                             layers_.cumulative_rate(next).bps();
+        if (usage > link.capacity) {
+          ok = false;
+          break;
+        }
       }
-    }
-    if (best < 0) break;
-    const auto r = static_cast<std::size_t>(best);
-    const std::size_t si = refs[r].session_index;
-    const int next = levels[r] + 1;
-    bool ok = true;
-    for (const std::size_t li : paths[r]) {
-      const TrackedLink& link = links[li];
-      if (next <= link.session_max[si]) continue;  // this link's max is elsewhere
-      const double usage = link.usage - layers_.cumulative_rate(link.session_max[si]).bps() +
-                           layers_.cumulative_rate(next).bps();
-      if (usage > link.capacity) {
-        ok = false;
-        break;
+      if (!ok) {
+        blocked[r] = true;
+        continue;
       }
-    }
-    if (!ok) {
-      blocked[r] = true;
-      continue;
-    }
-    levels[r] = next;
-    for (const std::size_t li : paths[r]) {
-      TrackedLink& link = links[li];
-      if (next <= link.session_max[si]) continue;
-      link.usage += layers_.cumulative_rate(next).bps() -
-                    layers_.cumulative_rate(link.session_max[si]).bps();
-      link.session_max[si] = next;
+      levels[r] = next;
+      for (const std::size_t li : paths[r]) {
+        TrackedLink& link = links[li];
+        if (next <= link.session_max[si]) continue;
+        link.usage += layers_.cumulative_rate(next).bps() -
+                      layers_.cumulative_rate(link.session_max[si]).bps();
+        link.session_max[si] = next;
+      }
     }
   }
 

@@ -134,10 +134,7 @@ void MulticastRouter::rebuild_tree(net::GroupAddr group, GroupState& state) {
   for (const auto& [member, ms] : state.members) {  // NOLINT-determinism(order-free)
     const bool carries_traffic = ms.local_active || ms.forward_until > now;
     if (!carries_traffic) continue;
-    if (ms.local_active) {
-      tree.entries[member].deliver_locally = true;
-      tree.fan[member].deliver_locally = 1;
-    }
+    if (ms.local_active) tree.fan[member].deliver_locally = 1;
     if (member == tree.source) continue;
     const std::vector<net::NodeId> path = routes.path(tree.source, member);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -151,7 +148,6 @@ void MulticastRouter::rebuild_tree(net::GroupAddr group, GroupState& state) {
   tree.fan_links.reserve(tree.edges.size());
   for (const auto& [parent, child] : tree.edges) {
     const net::LinkId link = routes.next_hop(parent, child);
-    tree.entries[parent].out_links.push_back(link);
     GroupTree::FanSlot& slot = tree.fan[parent];
     if (slot.count == 0) slot.offset = static_cast<std::uint32_t>(tree.fan_links.size());
     if (slot.count == std::numeric_limits<std::uint32_t>::max()) {

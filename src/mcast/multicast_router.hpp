@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/hotpath.hpp"
@@ -19,15 +18,8 @@ namespace tsim::mcast {
 struct GroupTree {
   net::NodeId source{net::kInvalidNode};
 
-  struct ForwardEntry {
-    std::vector<net::LinkId> out_links;  ///< links to replicate onto
-    bool deliver_locally{false};         ///< a subscribed receiver lives here
-  };
-  std::unordered_map<net::NodeId, ForwardEntry> entries;
-
   /// One fan-out slot per node: a (offset, count) span into `fan_links` plus
-  /// the local-delivery flag — a few bytes where the per-entry vector layout
-  /// paid a heap hop per node. `count` is 32-bit: the scale star hangs every
+  /// the local-delivery flag. `count` is 32-bit: the scale star hangs every
   /// receiver off one hub, so a single node's fan-out reaches the full
   /// receiver population (100k exceeds uint16).
   struct FanSlot {
@@ -37,11 +29,10 @@ struct GroupTree {
   };
   static_assert(sizeof(FanSlot) == 12, "FanSlot must stay within 12 bytes");
 
-  /// `entries` flattened CSR-style: `fan` is NodeId-indexed, `fan_links` is
-  /// the shared pool all spans point into (per-node runs are contiguous, in
-  /// the same sorted order as entries[].out_links). The per-hop route() path
-  /// reads only these two arrays; `entries` stays the sparse view for
-  /// auditors and tests.
+  /// The forwarding state, CSR-style: `fan` is NodeId-indexed, `fan_links` is
+  /// the shared pool all spans point into. Slot i of the pool is the link of
+  /// `edges[i]`, so each parent's span lists its out-links in edge order. The
+  /// per-hop route() path reads only these two arrays.
   std::vector<FanSlot> fan;
   std::vector<net::LinkId> fan_links;
 

@@ -25,9 +25,10 @@ class LinkMonitor {
       : simulation_{simulation}, network_{network}, link_{link}, period_{period} {}
 
   void start() {
-    last_delivered_bytes_ = network_.link(link_).stats().delivered_bytes;
-    last_enqueued_ = network_.link(link_).stats().enqueued_packets;
-    last_dropped_ = network_.link(link_).stats().dropped_packets;
+    const net::LinkStats stats = network_.link(link_).stats();
+    last_delivered_bytes_ = stats.delivered_bytes;
+    last_enqueued_ = stats.enqueued_packets;
+    last_dropped_ = stats.dropped_packets;
     simulation_.after(period_, [this]() { sample(); });
   }
 
@@ -43,7 +44,7 @@ class LinkMonitor {
 
  private:
   void sample() {
-    const auto& stats = network_.link(link_).stats();
+    const net::LinkStats stats = network_.link(link_).stats();
     Sample s;
     s.at = simulation_.now();
     s.throughput = (stats.delivered_bytes - last_delivered_bytes_) / period_;

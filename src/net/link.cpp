@@ -8,23 +8,27 @@
 
 namespace tsim::net {
 
-Link::Link(sim::Simulation& simulation, Network& network, LinkId id, NodeId from, NodeId to,
-           units::BitsPerSec bandwidth, sim::Time latency, std::size_t queue_limit_packets)
+Link::Link(sim::Simulation& simulation, Network& network, LinkId id, NodeId from)
     : simulation_{simulation},
       network_{network},
       id_{id},
       from_{from},
-      to_{to},
-      bandwidth_{bandwidth},
-      latency_{latency},
-      queue_limit_{queue_limit_packets},
       red_rng_{simulation.rng_stream("link/" + std::to_string(id))},
       fault_rng_{simulation.rng_stream("fault-loss/" + std::to_string(id))} {}
 
 LinkHot& Link::hot() const { return network_.link_hot(id_); }
 
+NodeId Link::to() const { return network_.link_params(id_).to; }
+
+units::BitsPerSec Link::bandwidth() const { return network_.link_params(id_).bandwidth; }
+
+sim::Time Link::latency() const { return network_.link_params(id_).latency; }
+
+std::size_t Link::queue_limit() const { return hot().queue_limit; }
+
+bool Link::red_enabled() const { return (hot().flags & LinkHot::kRed) != 0; }
+
 void Link::enable_red(RedConfig config) {
-  red_enabled_ = true;
   red_ = config;
   red_avg_ = 0.0;
   hot().flags |= LinkHot::kRed;
@@ -64,37 +68,15 @@ std::uint64_t Link::dropped_packets_for_group(GroupAddr group) const {
   return network_.group_dropped_cell(id, id_);
 }
 
-const LinkStats& Link::stats() const {
+LinkStats Link::stats() const {
   const LinkHot& h = hot();
-  stats_.enqueued_packets = h.enqueued_packets;
-  stats_.enqueued_bytes = units::Bytes{h.enqueued_bytes};
-  stats_.delivered_packets = h.delivered_packets;
-  stats_.delivered_bytes = units::Bytes{h.delivered_bytes};
-  stats_.dropped_packets = h.dropped_packets;
-  stats_.dropped_bytes = units::Bytes{h.dropped_bytes};
-  const std::uint32_t groups = network_.group_stats_count();
-  stats_.delivered_bytes_by_group.assign(groups, 0);
-  stats_.dropped_packets_by_group.assign(groups, 0);
-  for (std::uint32_t gid = 0; gid < groups; ++gid) {
-    stats_.delivered_bytes_by_group[gid] = network_.group_delivered_cell(gid, id_);
-    stats_.dropped_packets_by_group[gid] = network_.group_dropped_cell(gid, id_);
-  }
-  return stats_;
-}
-
-void Link::reset_stats() {
-  LinkHot& h = hot();
-  h.enqueued_packets = 0;
-  h.enqueued_bytes = 0;
-  h.delivered_packets = 0;
-  h.delivered_bytes = 0;
-  h.dropped_packets = 0;
-  h.dropped_bytes = 0;
-  stats_ = LinkStats{};
-  for (std::uint32_t gid = 0; gid < network_.group_stats_count(); ++gid) {
-    network_.group_delivered_cell(gid, id_) = 0;
-    network_.group_dropped_cell(gid, id_) = 0;
-  }
+  return LinkStats{.enqueued_packets = h.enqueued_packets,
+                   .enqueued_bytes = units::Bytes{h.enqueued_bytes},
+                   .delivered_packets = h.delivered_packets,
+                   .delivered_bytes = units::Bytes{h.delivered_bytes},
+                   .dropped_packets = h.dropped_packets,
+                   .dropped_bytes = units::Bytes{h.dropped_bytes},
+                   .fault_dropped_packets = fault_dropped_packets_};
 }
 
 void Link::corrupt_accounting_for_test() {
@@ -107,7 +89,7 @@ void Link::count_drop(const Packet& packet, bool fault) {
   LinkHot& h = hot();
   ++h.dropped_packets;
   h.dropped_bytes += packet.size_bytes;
-  if (fault) ++stats_.fault_dropped_packets;
+  if (fault) ++fault_dropped_packets_;
   if (packet.multicast) {
     ++network_.group_dropped_cell(group_stats_index(packet), id_);
   }
@@ -132,8 +114,6 @@ void Link::set_up(bool up) {
   queued_bytes_ = units::Bytes::zero();
 }
 
-void Link::enqueue(const PacketRef& packet) { network_.enqueue(id_, packet); }
-
 void Link::enqueue_slow(const PacketRef& packet) {
   LinkHot& h = hot();
   if ((h.flags & LinkHot::kUp) == 0) {
@@ -145,7 +125,7 @@ void Link::enqueue_slow(const PacketRef& packet) {
     return;
   }
 
-  if (red_enabled_) {
+  if ((h.flags & LinkHot::kRed) != 0) {
     // Idle-time decay (Floyd/Jacobson §4): arrivals stop while the link is
     // idle, so the EWMA would otherwise freeze at its last (possibly high)
     // value and spuriously early-drop the first packets of a new burst.
@@ -161,8 +141,8 @@ void Link::enqueue_slow(const PacketRef& packet) {
     // EWMA of the instantaneous queue length, updated per arrival.
     red_avg_ = (1.0 - red_.queue_weight) * red_avg_ +
                red_.queue_weight * static_cast<double>(queue_.size());
-    const double min_th = red_.min_threshold_frac * static_cast<double>(queue_limit_);
-    const double max_th = red_.max_threshold_frac * static_cast<double>(queue_limit_);
+    const double min_th = red_.min_threshold_frac * static_cast<double>(h.queue_limit);
+    const double max_th = red_.max_threshold_frac * static_cast<double>(h.queue_limit);
     bool early_drop = false;
     if (red_avg_ >= max_th) {
       early_drop = true;
@@ -180,7 +160,7 @@ void Link::enqueue_slow(const PacketRef& packet) {
     network_.start_transmission(id_, packet);
     return;
   }
-  if (queue_.size() >= queue_limit_) {
+  if (queue_.size() >= h.queue_limit) {
     count_drop(*packet, /*fault=*/false);
     return;
   }

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
 
 #include "core/hotpath.hpp"
 #include "core/units.hpp"
@@ -108,13 +107,13 @@ HOT_PATH [[nodiscard]] inline double fluid_queue_step(FluidQueue& queue,
 }
 
 /// Per-link counters. `delivered_*` counts packets that finished transmission
-/// and were handed to the downstream node; per-group counters give tests and
-/// benches ground truth the algorithm itself never sees.
+/// and were handed to the downstream node.
 ///
-/// Since the struct-of-arrays split this is a read-only VIEW materialized by
-/// Link::stats(): the live counters are the Network's LinkHot entry and its
-/// dense per-(group,link) tables; only `fault_dropped_packets` (slow-path
-/// only) accumulates here directly.
+/// A snapshot assembled by Link::stats(): the live counters are the Network's
+/// LinkHot entry, and only `fault_dropped_packets` (slow path only) lives on
+/// the Link. Per-group ground truth stays in the Network's dense
+/// per-(group,link) tables (Link::delivered_bytes_for_group,
+/// Network::group_delivered_cell).
 struct LinkStats {
   std::uint64_t enqueued_packets{0};
   units::Bytes enqueued_bytes{};
@@ -123,12 +122,6 @@ struct LinkStats {
   std::uint64_t dropped_packets{0};
   units::Bytes dropped_bytes{};
   std::uint64_t fault_dropped_packets{0};  ///< subset of drops caused by injected faults
-  /// Flat per-group counters indexed by the Network's dense group-stats id
-  /// (Network::intern_group / group_stats_key). Synced from the Network's
-  /// per-(group,link) tables on stats(); query by GroupAddr via
-  /// Link::delivered_bytes_for_group / dropped_packets_for_group.
-  std::vector<std::uint64_t> delivered_bytes_by_group;
-  std::vector<std::uint64_t> dropped_packets_by_group;
 };
 
 /// A unidirectional link with finite bandwidth, fixed propagation latency and
@@ -138,7 +131,9 @@ struct LinkStats {
 ///
 /// The per-packet state machine lives in Network (fast paths over the LinkHot
 /// array); the Link keeps the queue storage and the slow paths (down links,
-/// fault loss, RED) that the flag gate routes here.
+/// fault loss, RED) that the flag gate routes here. Parameters and counters
+/// live only in the Network's LinkParams/LinkHot tables; the accessors below
+/// read them there.
 class Link {
  public:
   /// Random Early Detection parameters (Floyd/Jacobson); thresholds are
@@ -150,22 +145,15 @@ class Link {
     double queue_weight{0.02};  ///< EWMA weight for the average queue length
   };
 
-  Link(sim::Simulation& simulation, Network& network, LinkId id, NodeId from, NodeId to,
-       units::BitsPerSec bandwidth, sim::Time latency, std::size_t queue_limit_packets);
+  Link(sim::Simulation& simulation, Network& network, LinkId id, NodeId from);
 
   /// Switches the queue from drop-tail to RED. Call before traffic flows.
   void enable_red(RedConfig config);
-  [[nodiscard]] bool red_enabled() const { return red_enabled_; }
+  [[nodiscard]] bool red_enabled() const;
   [[nodiscard]] double red_average_queue() const { return red_avg_; }
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
-
-  /// Offers a packet to the link. Drops it (drop-tail) when the queue is full,
-  /// unconditionally while the link is down, and with the configured Bernoulli
-  /// probability while a lossy-link fault is active. (Forwards to the
-  /// Network's datapath; kept so tests can drive a single link directly.)
-  void enqueue(const PacketRef& packet);
 
   /// --- Fault state (driven by fault::FaultInjector) ------------------------
 
@@ -185,15 +173,14 @@ class Link {
 
   [[nodiscard]] LinkId id() const { return id_; }
   [[nodiscard]] NodeId from() const { return from_; }
-  [[nodiscard]] NodeId to() const { return to_; }
-  [[nodiscard]] units::BitsPerSec bandwidth() const { return bandwidth_; }
-  [[nodiscard]] sim::Time latency() const { return latency_; }
-  [[nodiscard]] std::size_t queue_limit() const { return queue_limit_; }
+  [[nodiscard]] NodeId to() const;
+  [[nodiscard]] units::BitsPerSec bandwidth() const;
+  [[nodiscard]] sim::Time latency() const;
+  [[nodiscard]] std::size_t queue_limit() const;
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
   [[nodiscard]] bool transmitting() const;
-  /// Counters as a coherent snapshot (synced from the hot table on call).
-  [[nodiscard]] const LinkStats& stats() const;
-  void reset_stats();
+  /// Counters as a coherent snapshot, read from the hot table on call.
+  [[nodiscard]] LinkStats stats() const;
 
   /// Per-group counters by address (the dense tables are indexed by group id);
   /// 0 for groups this link never saw.
@@ -217,7 +204,7 @@ class Link {
 
   /// Serialization delay of one packet at this link's bandwidth.
   [[nodiscard]] sim::Time transmission_time(std::uint32_t size_bytes) const {
-    return transmission_time_for(size_bytes, bandwidth_);
+    return transmission_time_for(size_bytes, bandwidth());
   }
 
   /// --- Internal: Network datapath hooks ------------------------------------
@@ -260,16 +247,9 @@ class Link {
   Network& network_;
   LinkId id_;
   NodeId from_;
-  NodeId to_;
-  units::BitsPerSec bandwidth_;
-  sim::Time latency_;
-  std::size_t queue_limit_;
   std::deque<PacketRef> queue_;
   units::Bytes queued_bytes_{};
-  /// Mirror for stats(): hot counters and per-group columns are copied in on
-  /// demand; fault_dropped_packets accumulates here directly (slow path only).
-  mutable LinkStats stats_;
-  bool red_enabled_{false};
+  std::uint64_t fault_dropped_packets_{0};  ///< slow-path only; see LinkStats
   RedConfig red_;
   double red_avg_{0.0};
   sim::Time idle_since_{sim::Time::zero()};  ///< when the transmitter last went idle

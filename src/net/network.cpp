@@ -1,7 +1,9 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/logging.hpp"
@@ -24,9 +26,12 @@ LinkId Network::add_link(NodeId from, NodeId to, units::BitsPerSec bandwidth, si
   if (bandwidth <= units::BitsPerSec::zero()) {
     throw std::invalid_argument("Network::add_link: bandwidth must be positive");
   }
+  if (queue_limit_packets > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("Network::add_link: queue limit " +
+                                std::to_string(queue_limit_packets) + " exceeds 4294967295");
+  }
   const LinkId id = static_cast<LinkId>(links_.size());
-  links_.push_back(std::make_unique<Link>(simulation_, *this, id, from, to, bandwidth,
-                                          latency, queue_limit_packets));
+  links_.push_back(std::make_unique<Link>(simulation_, *this, id, from));
   LinkHot hot;
   hot.queue_limit = static_cast<std::uint32_t>(queue_limit_packets);
   link_hot_.push_back(hot);

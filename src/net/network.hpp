@@ -67,7 +67,9 @@ class Network {
   NodeId add_node(std::string name = {});
 
   /// Adds a unidirectional link. Queue limit defaults to the ns drop-tail
-  /// default of 50 packets.
+  /// default of 50 packets. Throws std::invalid_argument for a non-positive
+  /// bandwidth or a queue limit above 4294967295 (LinkHot holds it in 32
+  /// bits).
   LinkId add_link(NodeId from, NodeId to, units::BitsPerSec bandwidth, sim::Time latency,
                   std::size_t queue_limit_packets = 50);
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -16,15 +17,39 @@ using sim::Time;
 
 namespace {
 
-/// Queue provisioning: at least the configured floor, grown to the link's
-/// bandwidth-delay product when queues.bdp_sizing is on.
+/// Queue provisioning: the link's bandwidth-delay product in packets (the
+/// standard drop-tail rule), with a floor of 30 packets for slow links.
 std::size_t queue_limit_for(const ScenarioConfig& config, double bandwidth_bps) {
-  if (!config.queues.bdp_sizing) return config.queues.limit_packets;
+  constexpr std::size_t kFloorPackets = 30;
   const double bdp_bytes = bandwidth_bps * config.link_latency.as_seconds() / 8.0;
   const auto bdp_packets =
       static_cast<std::size_t>(bdp_bytes / config.params.layers.packet_size_bytes);
-  return std::max(config.queues.limit_packets, bdp_packets);
+  return std::max(kFloorPackets, bdp_packets);
 }
+
+/// The offline optima keyed by (session << 32 | receiver), so wiring R
+/// receivers is O(R) rather than a scan of all R prescriptions per receiver.
+/// The first prescription for a pair wins, as a front-to-back scan found it.
+class OptimaIndex {
+ public:
+  explicit OptimaIndex(const std::vector<core::Prescription>& optima) {
+    by_receiver_.reserve(optima.size());
+    for (const core::Prescription& p : optima) {
+      by_receiver_.try_emplace(key(p.session, p.receiver), p.subscription);
+    }
+  }
+  /// The receiver's optimum; 0 for one the allocator never saw.
+  [[nodiscard]] int of(net::SessionId session, net::NodeId node) const {
+    const auto it = by_receiver_.find(key(session, node));
+    return it == by_receiver_.end() ? 0 : it->second;
+  }
+
+ private:
+  static std::uint64_t key(net::SessionId session, net::NodeId node) {
+    return (static_cast<std::uint64_t>(session) << 32) | node;
+  }
+  std::unordered_map<std::uint64_t, int> by_receiver_;
+};
 
 }  // namespace
 
@@ -131,12 +156,8 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
       // Offset the controller's period from the receivers' report period so a
       // run always has fresh reports to read.
       tcfg.agent.start = Time::milliseconds(2500);
-      tcfg.watchdog = config_.control.receiver_agent;
-      // Wire the watchdog to the controller cadence it actually faces, unless
-      // the experiment pinned an explicit expectation.
-      if (tcfg.watchdog.expected_interval == Time::zero()) {
-        tcfg.watchdog.expected_interval = config_.params.interval;
-      }
+      // Wire the watchdog to the controller cadence it actually faces.
+      tcfg.watchdog.expected_interval = config_.params.interval;
 
       std::unique_ptr<topo::TopologyProvider> discovery;
       if (config_.control.discovery == DiscoveryMode::kOracle) {
@@ -187,7 +208,7 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
                                                         std::move(discovery), tcfg);
     }
     case ControllerKind::kReceiverDriven: {
-      baseline::ReceiverDrivenController::Config rd = config_.control.receiver_driven;
+      baseline::ReceiverDrivenController::Config rd;
       rd.period = config_.params.interval;
       return std::make_unique<baseline::ReceiverDrivenController>(*simulation_, rd);
     }
@@ -564,16 +585,10 @@ std::unique_ptr<Scenario> Scenario::build_tiered(const ScenarioConfig& config,
   session.source = source;
   session.nodes = tree_nodes;
   const core::OptimalAllocator allocator{config.params.layers, capacities};
-  const auto optima = allocator.allocate({session});
-  auto optimum_of = [&](net::NodeId node) {
-    for (const auto& p : optima) {
-      if (p.receiver == node) return p.subscription;
-    }
-    return 0;
-  };
+  const OptimaIndex optima{allocator.allocate({session})};
 
   for (const PendingTierReceiver& r : receivers) {
-    s->add_receiver(r.node, 0, optimum_of(r.node), netw.node(r.node).name);
+    s->add_receiver(r.node, 0, optima.of(0, r.node), netw.node(r.node).name);
   }
 
   s->finalize();
@@ -722,17 +737,11 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
     session_inputs.push_back(std::move(in));
   }
   const core::OptimalAllocator allocator{config.params.layers, capacities};
-  const auto optima = allocator.allocate(session_inputs);
-  auto optimum_of = [&](net::SessionId session, net::NodeId node) {
-    for (const auto& p : optima) {
-      if (p.session == session && p.receiver == node) return p.subscription;
-    }
-    return 0;
-  };
+  const OptimaIndex optima{allocator.allocate(session_inputs)};
 
   for (const auto& rcv : description.receivers) {
     const net::NodeId node = by_name.at(rcv.node);
-    s->add_receiver(node, rcv.session, optimum_of(rcv.session, node),
+    s->add_receiver(node, rcv.session, optima.of(rcv.session, node),
                     rcv.node + "/s" + std::to_string(rcv.session), rcv.start, rcv.stop);
   }
 

@@ -66,12 +66,9 @@ struct ScenarioConfig {
     /// Packets per train under TrafficEngine::kBurst.
     int burst_train{4};
   };
+  /// Every queue holds its link's bandwidth-delay product, at least 30
+  /// packets (a topology file's `queue` option overrides per link).
   struct Queues {
-    std::size_t limit_packets{30};
-    /// Size each link's queue to at least its bandwidth-delay product (the
-    /// standard drop-tail provisioning rule); the floor above still applies
-    /// to slow links. Disable to study shallow-buffer behaviour.
-    bool bdp_sizing{true};
     /// Use RED instead of drop-tail on every link (§V burst-loss ablation).
     bool red{false};
   };
@@ -83,8 +80,6 @@ struct ScenarioConfig {
     /// interval" (the paper's setup). Faster reporting gives the controller
     /// sub-interval loss visibility at the cost of more control traffic.
     sim::Time report_period{sim::Time::zero()};
-    ::tsim::control::ReceiverAgent::Config receiver_agent{};
-    ::tsim::baseline::ReceiverDrivenController::Config receiver_driven{};
     /// Layers each receiver joins at start (clamped to [0, num_layers]).
     /// The paper's receivers start at 1; scale studies start higher so the
     /// data plane dominates from t=0.
@@ -111,8 +106,8 @@ struct ScenarioConfig {
   Control control{};
   Domains domains{};
   mcast::MulticastRouter::Config mcast{};
-  /// Invariant auditing (off by default; see ScenarioBuilder::audit and the
-  /// --audit flag on toposense_sim / bench_runner).
+  /// Invariant auditing (off by default; also the --audit flag on
+  /// toposense_sim / bench_runner).
   check::AuditConfig audit{};
 };
 

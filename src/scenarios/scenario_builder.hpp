@@ -19,6 +19,10 @@ namespace tsim::scenarios {
 ///                       .with_cross_traffic({"r0", "r1", 500e3})
 ///                       .build();
 ///
+/// Every tunable lives in the ScenarioConfig handed to the constructor (e.g.
+/// `config.audit` turns on invariant auditing); the builder only picks the
+/// topology and the extras below.
+///
 /// Exactly one topology_* / topology() call selects the network shape;
 /// build() throws std::logic_error if none (or more than one) was chosen.
 /// Faults declared in a topology file and faults added via with_faults()
@@ -27,56 +31,6 @@ class ScenarioBuilder {
  public:
   explicit ScenarioBuilder(ScenarioConfig config) : config_{std::move(config)} {}
   ScenarioBuilder() = default;
-
-  /// --- config tweaks (override fields of the seed config) -----------------
-  ScenarioBuilder& seed(std::uint64_t seed) {
-    config_.seed = seed;
-    return *this;
-  }
-  ScenarioBuilder& duration(sim::Time duration) {
-    config_.duration = duration;
-    return *this;
-  }
-  ScenarioBuilder& controller(ControllerKind kind) {
-    config_.control.kind = kind;
-    return *this;
-  }
-  ScenarioBuilder& discovery(DiscoveryMode mode) {
-    config_.control.discovery = mode;
-    return *this;
-  }
-  /// Requests an automatic partition into up to `count` routing domains when
-  /// the topology declares none (see ScenarioConfig::Domains).
-  ScenarioBuilder& domains(int count) {
-    config_.domains.auto_partition = count;
-    return *this;
-  }
-  /// Child -> parent DomainSummary cadence (multi-domain runs only).
-  ScenarioBuilder& summary_period(sim::Time period) {
-    config_.domains.summary_period = period;
-    return *this;
-  }
-  ScenarioBuilder& params(const core::Params& params) {
-    config_.params = params;
-    return *this;
-  }
-  ScenarioBuilder& config(const ScenarioConfig& config) {
-    config_ = config;
-    return *this;
-  }
-  /// Enables invariant auditing (see check::InvariantAuditor). `cadence` is
-  /// the period of the sweeping checks; event-driven checks always fire.
-  ScenarioBuilder& audit(check::AuditMode mode,
-                         sim::Time cadence = sim::Time::seconds(1)) {
-    config_.audit.mode = mode;
-    config_.audit.cadence = cadence;
-    return *this;
-  }
-  ScenarioBuilder& audit(const check::AuditConfig& audit) {
-    config_.audit = audit;
-    return *this;
-  }
-  [[nodiscard]] const ScenarioConfig& current_config() const { return config_; }
 
   /// --- topology selection (exactly one) -----------------------------------
   ScenarioBuilder& topology_a(const TopologyAOptions& options = {});

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -279,6 +281,10 @@ ParseResult parse_topology(std::string_view text) {
               tokens[i + 1].data(), tokens[i + 1].data() + tokens[i + 1].size(), packets);
           if (ec != std::errc{} || packets == 0) {
             return fail(line_no, "bad queue size '" + tokens[i + 1] + "'");
+          }
+          if (packets > std::numeric_limits<std::uint32_t>::max()) {
+            return fail(line_no, "queue size '" + tokens[i + 1] +
+                                     "' out of range (max 4294967295 packets)");
           }
           link.queue_packets = packets;
           ++i;

@@ -31,8 +31,9 @@ namespace tsim::scenarios {
 ///   fault suggestions drop <p> <t0> <t1>
 ///
 /// Bandwidth accepts `bps`, `kbps`, `Mbps` suffixes (case-insensitive);
-/// latency accepts `ms` and `s`. Fault times are plain seconds. Links are
-/// duplex; link faults hit both directions.
+/// latency accepts `ms` and `s`. A `queue` limit is 1..4294967295 packets.
+/// Fault times are plain seconds. Links are duplex; link faults hit both
+/// directions.
 ///
 /// `domain` declares a routing domain: the named nodes get their own
 /// TopoSense controller, stationed at the border node (the first listed

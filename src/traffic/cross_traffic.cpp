@@ -46,43 +46,4 @@ void CbrFlow::emit() {
   simulation_.after(sim::Time::seconds(spacing), emit_thunk_);
 }
 
-OnOffFlow::OnOffFlow(sim::Simulation& simulation, net::Network& network, Config config)
-    : simulation_{simulation},
-      network_{network},
-      config_{config},
-      rng_{simulation.rng_stream("onoff/" + std::to_string(config.src) + "/" +
-                                 std::to_string(config.dst))},
-      emit_thunk_{this} {
-  const double pps = config_.peak_bps / (8.0 * config_.packet_size_bytes);
-  period_s_ = 1.0 / pps;
-}
-
-void OnOffFlow::start() {
-  simulation_.at(config_.start, [this]() { begin_off_period(); });
-}
-
-void OnOffFlow::begin_on_period() {
-  if (simulation_.now() >= config_.stop) return;
-  on_ = true;
-  const sim::Time duration = sim::Time::seconds(rng_.exponential(config_.mean_on_s));
-  on_until_ = simulation_.now() + duration;
-  emit();
-  simulation_.after(duration, [this]() { begin_off_period(); });
-}
-
-void OnOffFlow::begin_off_period() {
-  on_ = false;
-  if (simulation_.now() >= config_.stop) return;
-  simulation_.after(sim::Time::seconds(rng_.exponential(config_.mean_off_s)),
-                    [this]() { begin_on_period(); });
-}
-
-void OnOffFlow::emit() {
-  if (!on_ || simulation_.now() >= on_until_ || simulation_.now() >= config_.stop) return;
-  network_.send_unicast(
-      unicast_packet(network_, config_.src, config_.dst, config_.packet_size_bytes));
-  ++sent_packets_;
-  simulation_.after(sim::Time::seconds(period_s_ * rng_.uniform(0.9, 1.1)), emit_thunk_);
-}
-
 }  // namespace tsim::traffic

@@ -51,49 +51,4 @@ class CbrFlow {
   std::uint64_t sent_packets_{0};
 };
 
-/// Unicast on/off (exponential burst/idle) flow: a rough Pareto-ish stand-in
-/// for web-like background traffic. During ON periods it transmits at
-/// `peak_bps`; ON and OFF durations are exponentially distributed.
-class OnOffFlow {
- public:
-  struct Config {
-    net::NodeId src{net::kInvalidNode};
-    net::NodeId dst{net::kInvalidNode};
-    double peak_bps{512e3};
-    double mean_on_s{2.0};
-    double mean_off_s{6.0};
-    std::uint32_t packet_size_bytes{1000};
-    sim::Time start{sim::Time::zero()};
-    sim::Time stop{sim::Time::max()};
-  };
-
-  OnOffFlow(sim::Simulation& simulation, net::Network& network, Config config);
-
-  void start();
-
-  [[nodiscard]] std::uint64_t sent_packets() const { return sent_packets_; }
-  [[nodiscard]] bool on() const { return on_; }
-
- private:
-  void begin_on_period();
-  void begin_off_period();
-  void emit();
-
-  /// Pre-bound per-packet reschedule callback; see CbrFlow::EmitThunk.
-  struct EmitThunk {
-    OnOffFlow* flow;
-    void operator()() const { flow->emit(); }
-  };
-
-  sim::Simulation& simulation_;
-  net::Network& network_;
-  Config config_;
-  sim::Rng rng_;
-  EmitThunk emit_thunk_;
-  double period_s_{0.0};  ///< seconds per packet at the peak rate
-  bool on_{false};
-  sim::Time on_until_{};
-  std::uint64_t sent_packets_{0};
-};
-
 }  // namespace tsim::traffic

@@ -169,6 +169,36 @@ TEST_F(TreeAuditFixture, CorruptedTreeEdgeFiresWellFormednessChecks) {
               has_violation(auditor, "mcast.tree_multi_parent") ||
               has_violation(auditor, "mcast.tree_cycle"))
       << auditor.report_json();
+  // The extra edge has no link in the fan spans route() forwards on.
+  EXPECT_TRUE(has_violation(auditor, "mcast.tree_csr")) << auditor.report_json();
+}
+
+TEST_F(TreeAuditFixture, LinkCutWithoutRerouteFiresDeadEdge) {
+  InvariantAuditor auditor{log_config()};
+  auditor.attach_network(network);
+  auditor.attach_multicast(router);
+
+  const net::GroupAddr g{0, 1};
+  router.join(a, g);
+  ASSERT_NE(router.tree(g), nullptr);
+  ASSERT_EQ(auditor.violation_count(), 0u) << auditor.report_json();
+
+  // Cut r -> a behind the router's back: no on_topology_changed(), so the
+  // tree stays clean and stamped with the current epoch.
+  const net::LinkId cut = network.routes().next_hop(r, a);
+  network.link(cut).set_up(false);
+  ASSERT_NE(router.tree_if_clean(g), nullptr);
+  auditor.run_checks_now();
+
+  const auto& v = auditor.violations();
+  const auto dead = std::find_if(v.begin(), v.end(), [](const Violation& x) {
+    return x.invariant == "mcast.tree_dead_edge";
+  });
+  ASSERT_NE(dead, v.end()) << auditor.report_json();
+  EXPECT_EQ(dead->node, r);
+  EXPECT_EQ(dead->link, cut);
+  EXPECT_FALSE(has_violation(auditor, "mcast.tree_stale_epoch"));
+  EXPECT_FALSE(has_violation(auditor, "mcast.tree_csr"));
 }
 
 TEST(WatchdogAuditTest, FlagsAddUnderLossAndCleanDrop) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/tree_index.hpp"
 #include "sim/random.hpp"
 
 namespace tsim::core {
@@ -180,6 +183,169 @@ TEST_P(AllocatorProperty, FeasibleAndPerReceiverMaximal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
+
+/// The allocator's raise loop before the level sweep, kept as the reference:
+/// scan every receiver for the lowest unblocked one (ties by discovery
+/// order), try one layer up against the tracked links on its root path, and
+/// block it on the first overflow. O(R^2 L); returns levels in discovery
+/// order.
+std::vector<int> argmin_reference(const traffic::LayerSpec& layers,
+                                  const std::unordered_map<LinkKey, units::BitsPerSec>& capacities,
+                                  const std::vector<SessionInput>& sessions) {
+  struct ReceiverRef {
+    std::size_t session_index;
+    std::size_t node_index;
+  };
+  std::vector<ReceiverRef> refs;
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    for (std::size_t n = 0; n < sessions[s].nodes.size(); ++n) {
+      if (sessions[s].nodes[n].is_receiver) refs.push_back(ReceiverRef{s, n});
+    }
+  }
+  std::vector<int> levels(refs.size(), 0);
+  std::vector<bool> blocked(refs.size(), false);
+
+  struct TrackedLink {
+    double capacity;
+    double usage{0.0};
+    std::vector<int> session_max;
+  };
+  std::vector<TrackedLink> links;
+  std::unordered_map<LinkKey, std::size_t> link_index;
+  std::vector<TreeIndex> trees;
+  trees.reserve(sessions.size());
+  for (const SessionInput& session : sessions) trees.emplace_back(session);
+
+  std::vector<std::vector<std::size_t>> paths(refs.size());
+  for (std::size_t r = 0; r < refs.size(); ++r) {
+    const std::size_t si = refs[r].session_index;
+    const TreeIndex& tree = trees[si];
+    for (int i = tree.index_of(sessions[si].nodes[refs[r].node_index].node); i >= 0;) {
+      const int p = tree.parent(static_cast<std::size_t>(i));
+      if (p < 0) break;
+      const LinkKey key{tree.node(static_cast<std::size_t>(p)).node,
+                        tree.node(static_cast<std::size_t>(i)).node};
+      if (const auto cap = capacities.find(key); cap != capacities.end()) {
+        const auto [it, inserted] = link_index.try_emplace(key, links.size());
+        if (inserted) {
+          links.push_back(
+              TrackedLink{cap->second.bps(), 0.0, std::vector<int>(sessions.size(), 0)});
+        }
+        paths[r].push_back(it->second);
+      }
+      i = p;
+    }
+  }
+
+  while (true) {
+    int best = -1;
+    for (std::size_t r = 0; r < refs.size(); ++r) {
+      if (blocked[r] || levels[r] >= layers.num_layers) continue;
+      if (best < 0 || levels[r] < levels[static_cast<std::size_t>(best)]) {
+        best = static_cast<int>(r);
+      }
+    }
+    if (best < 0) break;
+    const auto r = static_cast<std::size_t>(best);
+    const std::size_t si = refs[r].session_index;
+    const int next = levels[r] + 1;
+    bool ok = true;
+    for (const std::size_t li : paths[r]) {
+      const TrackedLink& link = links[li];
+      if (next <= link.session_max[si]) continue;
+      const double usage = link.usage - layers.cumulative_rate(link.session_max[si]).bps() +
+                           layers.cumulative_rate(next).bps();
+      if (usage > link.capacity) {
+        ok = false;
+        break;
+      }
+    }
+    if (!ok) {
+      blocked[r] = true;
+      continue;
+    }
+    levels[r] = next;
+    for (const std::size_t li : paths[r]) {
+      TrackedLink& link = links[li];
+      if (next <= link.session_max[si]) continue;
+      link.usage += layers.cumulative_rate(next).bps() -
+                    layers.cumulative_rate(link.session_max[si]).bps();
+      link.session_max[si] = next;
+    }
+  }
+  return levels;
+}
+
+// Random multi-session problems over one shared physical tree: sessions
+// rooted at the tree root or at an inner node, overlapping receiver sets,
+// some links unconstrained, varied layer counts and growth factors. The
+// level sweep must reproduce the argmin loop's allocation exactly.
+class AllocatorSweepEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AllocatorSweepEquivalence, MatchesArgminReferenceExactly) {
+  sim::Rng rng{GetParam()};
+  for (int round = 0; round < 20; ++round) {
+    const int node_count = static_cast<int>(rng.uniform_int(2, 60));
+    std::vector<net::NodeId> parent_of(static_cast<std::size_t>(node_count), net::kInvalidNode);
+    std::unordered_map<LinkKey, units::BitsPerSec> caps;
+    for (int i = 1; i < node_count; ++i) {
+      const auto parent = static_cast<net::NodeId>(rng.uniform_int(0, i - 1));
+      parent_of[static_cast<std::size_t>(i)] = parent;
+      if (rng.bernoulli(0.85)) {
+        caps[{parent, static_cast<net::NodeId>(i)}] = units::BitsPerSec{rng.uniform(16e3, 4e6)};
+      }
+    }
+    auto descends_from = [&](net::NodeId node, net::NodeId root) {
+      for (net::NodeId at = node; at != net::kInvalidNode; at = parent_of[at]) {
+        if (at == root) return true;
+      }
+      return false;
+    };
+
+    std::vector<SessionInput> sessions;
+    const int session_count = static_cast<int>(rng.uniform_int(1, 6));
+    for (int k = 0; k < session_count; ++k) {
+      const auto source = static_cast<net::NodeId>(
+          rng.bernoulli(0.5) ? 0 : rng.uniform_int(0, node_count - 1));
+      std::map<net::NodeId, bool> members;  // node -> is_receiver, ordered by id
+      members[source] = false;
+      for (net::NodeId n = 0; n < static_cast<net::NodeId>(node_count); ++n) {
+        if (n == source || !descends_from(n, source) || !rng.bernoulli(0.4)) continue;
+        for (net::NodeId at = n; at != source; at = parent_of[at]) members.try_emplace(at, false);
+        members[n] = true;
+      }
+      SessionInput in;
+      in.session = static_cast<net::SessionId>(k);
+      in.source = source;
+      for (const auto& [n, receiver] : members) {
+        in.nodes.push_back(node(n, n == source ? net::kInvalidNode : parent_of[n], receiver));
+      }
+      sessions.push_back(in);
+    }
+
+    traffic::LayerSpec layers;
+    layers.num_layers = static_cast<int>(rng.uniform_int(1, 8));
+    layers.layer_growth = rng.bernoulli(0.5) ? 2.0 : 1.5;
+    const OptimalAllocator allocator{layers, caps};
+    const auto alloc = allocator.allocate(sessions);
+    const std::vector<int> expected = argmin_reference(layers, caps, sessions);
+    ASSERT_EQ(alloc.size(), expected.size());
+    std::size_t r = 0;
+    for (const SessionInput& in : sessions) {
+      for (const SessionNodeInput& n : in.nodes) {
+        if (!n.is_receiver) continue;
+        EXPECT_EQ(alloc[r].session, in.session);
+        EXPECT_EQ(alloc[r].receiver, n.node);
+        EXPECT_EQ(alloc[r].subscription, expected[r])
+            << "round " << round << " receiver slot " << r;
+        ++r;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorSweepEquivalence,
+                         ::testing::Values(1u, 7u, 42u, 1234u, 98765u));
 
 }  // namespace
 }  // namespace tsim::core

@@ -62,10 +62,10 @@ TEST_F(McastFixture, TreeSpansJoinedMembers) {
   ASSERT_NE(tree, nullptr);
   EXPECT_EQ(tree->source, src);
   EXPECT_EQ(tree->edges.size(), 3u);  // src->r, r->a, r->b
-  EXPECT_TRUE(tree->entries.at(a).deliver_locally);
-  EXPECT_TRUE(tree->entries.at(b).deliver_locally);
-  EXPECT_EQ(tree->entries.at(src).out_links.size(), 1u);
-  EXPECT_EQ(tree->entries.at(r).out_links.size(), 2u);
+  EXPECT_EQ(tree->fan[a].deliver_locally, 1);
+  EXPECT_EQ(tree->fan[b].deliver_locally, 1);
+  EXPECT_EQ(tree->fan[src].count, 1u);
+  EXPECT_EQ(tree->fan[r].count, 2u);
 }
 
 TEST_F(McastFixture, PacketsReachAllMembers) {
@@ -102,7 +102,7 @@ TEST_F(McastFixture, LeaveLatencyKeepsTrafficFlowingUpstream) {
   // last-member query pending): packets still cross r -> a.
   const GroupTree* tree = router.tree(g);
   ASSERT_NE(tree, nullptr);
-  EXPECT_FALSE(tree->entries.count(a) != 0 && tree->entries.at(a).deliver_locally);
+  EXPECT_EQ(tree->fan[a].deliver_locally, 0);
   EXPECT_EQ(tree->edges.size(), 2u);  // src->r, r->a still forwarding
 
   // After leave_latency (1 s) the branch is pruned.

@@ -55,7 +55,7 @@ TEST_P(ConservationProperty, LinkCountersBalance) {
   simulation.run_until(70_s);
 
   for (LinkId id = 0; id < network.link_count(); ++id) {
-    const LinkStats& stats = network.link(id).stats();
+    const LinkStats stats = network.link(id).stats();
     // Everything enqueued is eventually delivered or dropped (transmitter
     // can hold at most one in-flight packet, flushed by the drain above).
     EXPECT_EQ(stats.enqueued_packets, stats.delivered_packets + stats.dropped_packets)
@@ -70,7 +70,7 @@ TEST_P(ConservationProperty, LinkCountersBalance) {
   EXPECT_GT(received_b, 0u);
 
   // The narrow link did drop under a 3-layer load of 224 Kbps on 200 Kbps.
-  const LinkStats& bottleneck = network.link(0).stats();
+  const LinkStats bottleneck = network.link(0).stats();
   EXPECT_GT(bottleneck.dropped_packets, 0u);
 }
 
@@ -95,9 +95,11 @@ TEST_P(ConservationProperty, PerGroupBytesSumToTotal) {
   source.start();
   simulation.run_until(30_s);
 
-  const LinkStats& stats = network.link(link).stats();
+  const LinkStats stats = network.link(link).stats();
   std::uint64_t by_group = 0;
-  for (const std::uint64_t bytes : stats.delivered_bytes_by_group) by_group += bytes;
+  for (std::uint32_t gid = 0; gid < network.group_stats_count(); ++gid) {
+    by_group += network.group_delivered_cell(gid, link);
+  }
   EXPECT_EQ(by_group, stats.delivered_bytes.count());
 }
 

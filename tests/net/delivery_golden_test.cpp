@@ -103,7 +103,7 @@ struct GoldenFixture {
     // Per-link counters in LinkId order: the full conservation ledger plus
     // the per-group breakdown for every interned group.
     for (LinkId id = 0; id < network.link_count(); ++id) {
-      const LinkStats& s = network.link(id).stats();
+      const LinkStats s = network.link(id).stats();
       fold(h, s.enqueued_packets);
       fold(h, s.enqueued_bytes.count());
       fold(h, s.delivered_packets);

@@ -40,6 +40,22 @@ TEST_F(NetworkFixture, AddLinkValidatesNodes) {
   EXPECT_THROW(network.add_link(0, 5, tsim::units::BitsPerSec{1e6}, 1_ms), std::out_of_range);
 }
 
+TEST_F(NetworkFixture, AddLinkRejectsQueueLimitsAbove32Bits) {
+  const NodeId a = network.add_node();
+  const NodeId b = network.add_node();
+  EXPECT_THROW(network.add_link(a, b, tsim::units::BitsPerSec{1e6}, 1_ms, 4294967296ULL),
+               std::invalid_argument);
+  EXPECT_EQ(network.link_count(), 0u);
+
+  // The largest limit that fits is kept exactly, and the Link reports what
+  // the datapath enforces.
+  const LinkId id = network.add_link(a, b, tsim::units::BitsPerSec{1e6}, 1_ms, 4294967295ULL);
+  EXPECT_EQ(network.link(id).queue_limit(), 4294967295ULL);
+  EXPECT_EQ(network.link_hot(id).queue_limit, 4294967295U);
+  EXPECT_EQ(network.link(id).bandwidth(), tsim::units::BitsPerSec{1e6});
+  EXPECT_EQ(network.link(id).latency(), 1_ms);
+}
+
 TEST_F(NetworkFixture, SendBeforeRoutesComputedThrows) {
   const NodeId a = network.add_node();
   const NodeId b = network.add_node();

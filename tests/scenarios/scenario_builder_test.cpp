@@ -44,18 +44,6 @@ TEST(ScenarioBuilderTest, SelectingTwoTopologiesThrows) {
   EXPECT_THROW(builder.topology_b({}), std::logic_error);
 }
 
-TEST(ScenarioBuilderTest, ConfigSettersOverrideSeedConfig) {
-  auto s = ScenarioBuilder(quick_config(1))
-               .seed(99)
-               .duration(30_s)
-               .controller(ControllerKind::kNone)
-               .topology_a({})
-               .build();
-  EXPECT_EQ(s->config().seed, 99u);
-  EXPECT_EQ(s->config().duration, 30_s);
-  EXPECT_EQ(s->controller(), nullptr);
-}
-
 TEST(ScenarioBuilderTest, CrossTrafficByNameReachesTheNamedLink) {
   CrossTrafficSpec spec{"r0", "r1", 200e3, 10_s, 40_s};
   auto with = ScenarioBuilder(quick_config()).topology_a({}).with_cross_traffic(spec).build();

@@ -138,6 +138,20 @@ TEST(TopologyParseTest, RejectsOutOfRangeBandwidth) {
   EXPECT_NE(result.error.find("line 3"), std::string::npos) << result.error;
 }
 
+TEST(TopologyParseTest, RejectsQueueLimitsAbove32Bits) {
+  const auto result =
+      parse_topology("node a\nnode b\nlink a b 1Mbps 5ms queue 4294967296\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("line 3"), std::string::npos) << result.error;
+  EXPECT_NE(result.error.find("4294967296"), std::string::npos) << result.error;
+
+  const auto largest = parse_topology(
+      "node a\nnode b\nlink a b 1Mbps 5ms queue 4294967295\nsource 0 a\nreceiver b 0\n"
+      "controller a\n");
+  ASSERT_TRUE(largest.ok()) << largest.error;
+  EXPECT_EQ(*largest.description->links[0].queue_packets, 4294967295ULL);
+}
+
 TEST(TopologyParseTest, RejectsBrokenReceiverWindows) {
   // Unpaired trailing option token: an error, not silently dropped.
   const auto unpaired = parse_topology(

@@ -58,55 +58,5 @@ TEST_F(CrossTrafficFixture, CbrFlowRespectsStartAndStop) {
   EXPECT_NEAR(received_packets, 100, 15);
 }
 
-TEST_F(CrossTrafficFixture, OnOffFlowAlternates) {
-  OnOffFlow::Config cfg;
-  cfg.src = a;
-  cfg.dst = b;
-  cfg.peak_bps = 800e3;  // 100 pps while ON
-  cfg.mean_on_s = 2.0;
-  cfg.mean_off_s = 2.0;
-  OnOffFlow flow{simulation, network, cfg};
-  flow.start();
-  simulation.run_until(200_s);
-  // Duty cycle ~50%: mean rate ~400 Kbps. Generous bounds — exponential.
-  const double rate = received_bytes * 8.0 / 200.0;
-  EXPECT_GT(rate, 150e3);
-  EXPECT_LT(rate, 650e3);
-  EXPECT_GT(flow.sent_packets(), 1000u);
-}
-
-TEST_F(CrossTrafficFixture, OnOffFlowStopsAtDeadline) {
-  OnOffFlow::Config cfg;
-  cfg.src = a;
-  cfg.dst = b;
-  cfg.stop = 10_s;
-  OnOffFlow flow{simulation, network, cfg};
-  flow.start();
-  simulation.run_until(10_s);
-  const auto at_stop = flow.sent_packets();
-  simulation.run_until(100_s);
-  EXPECT_EQ(flow.sent_packets(), at_stop);
-}
-
-TEST_F(CrossTrafficFixture, DeterministicAcrossSeeds) {
-  auto count_for_seed = [](std::uint64_t seed) {
-    sim::Simulation local_sim{seed};
-    net::Network local_net{local_sim};
-    const auto na = local_net.add_node();
-    const auto nb = local_net.add_node();
-    local_net.add_duplex_link(na, nb, tsim::units::BitsPerSec{10e6}, 10_ms, 200);
-    local_net.compute_routes();
-    OnOffFlow::Config cfg;
-    cfg.src = na;
-    cfg.dst = nb;
-    OnOffFlow flow{local_sim, local_net, cfg};
-    flow.start();
-    local_sim.run_until(60_s);
-    return flow.sent_packets();
-  };
-  EXPECT_EQ(count_for_seed(3), count_for_seed(3));
-  EXPECT_NE(count_for_seed(3), count_for_seed(4));
-}
-
 }  // namespace
 }  // namespace tsim::traffic

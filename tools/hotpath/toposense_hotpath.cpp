@@ -8,7 +8,9 @@
 //     --summarize --out FILE   summarize pass only: write per-TU JSON summaries
 //     --summaries FILE         link pre-built summaries (repeatable)
 //     --compile-commands FILE  add the TUs listed in a compile_commands.json
-//     --baseline FILE          grandfathered findings; only new ones fail
+//     --baseline FILE          grandfathered findings; only new ones fail, and
+//                              so does an entry for a scanned path that no
+//                              finding matched (stale)
 //     --write-baseline FILE    write all current findings as the new baseline
 //     --sarif FILE             also emit SARIF 2.1.0 (notes included)
 //     --reachable              print the per-root reachable-set report
@@ -16,7 +18,8 @@
 //     --notes                  print informational frontier notes
 //     --list-rules             print the rule catalogue and exit
 //
-// Exit: 0 clean (no non-baseline findings), 1 new findings, 2 usage/IO error.
+// Exit: 0 clean (no non-baseline findings, no stale baseline entries), 1 new
+// findings or stale entries, 2 usage/IO error.
 // Informational notes never gate. Run from the repository root so paths (and
 // baseline keys) are stable.
 //
@@ -199,9 +202,11 @@ int main(int argc, char** argv) {
 
     std::vector<lint::Finding> baselined;
     std::vector<lint::Finding> fresh;
+    std::vector<std::string> stale;
     if (!opts.baseline_path.empty()) {
       const lint::Baseline baseline = lint::Baseline::load(opts.baseline_path);
-      baseline.partition(result.findings, baselined, fresh);
+      stale = lint::stale_entries(baseline.partition(result.findings, baselined, fresh),
+                                  opts.roots, {});
     } else {
       fresh = result.findings;
     }
@@ -209,6 +214,10 @@ int main(int argc, char** argv) {
     for (const lint::Finding& f : fresh) {
       std::printf("%s:%zu: [%s/%s] %s\n", f.file.c_str(), f.line, f.check.c_str(),
                   f.rule.c_str(), f.message.c_str());
+    }
+    for (const std::string& entry : stale) {
+      std::printf("%s: stale entry, no finding matches it (prune it): %s\n",
+                  opts.baseline_path.c_str(), entry.c_str());
     }
     if (opts.notes) {
       for (const lint::Finding& f : result.notes) {
@@ -225,12 +234,12 @@ int main(int argc, char** argv) {
                         result.notes);
     }
 
-    if (!fresh.empty()) {
+    if (!fresh.empty() || !stale.empty()) {
       std::printf(
-          "toposense_hotpath: %zu new finding(s), %zu baselined, %zu note(s), "
+          "toposense_hotpath: %zu new finding(s), %zu baselined, %zu stale, %zu note(s), "
           "%zu root(s), %zu reachable function(s)\n",
-          fresh.size(), baselined.size(), result.notes.size(), result.root_count,
-          result.reached_count);
+          fresh.size(), baselined.size(), stale.size(), result.notes.size(),
+          result.root_count, result.reached_count);
       return 1;
     }
     std::printf(

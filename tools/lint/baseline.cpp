@@ -23,8 +23,9 @@ std::string Baseline::key(const Finding& finding) {
   return finding.check + "|" + finding.rule + "|" + finding.file + "|" + finding.text;
 }
 
-void Baseline::partition(const std::vector<Finding>& findings, std::vector<Finding>& baselined,
-                         std::vector<Finding>& fresh) const {
+std::vector<std::string> Baseline::partition(const std::vector<Finding>& findings,
+                                             std::vector<Finding>& baselined,
+                                             std::vector<Finding>& fresh) const {
   std::map<std::string, int> remaining = allowed_;
   for (const Finding& f : findings) {
     const auto it = remaining.find(key(f));
@@ -35,6 +36,33 @@ void Baseline::partition(const std::vector<Finding>& findings, std::vector<Findi
       fresh.push_back(f);
     }
   }
+  std::vector<std::string> unconsumed;
+  for (const auto& [entry, count] : remaining) unconsumed.insert(unconsumed.end(), static_cast<std::size_t>(count), entry);
+  return unconsumed;
+}
+
+std::vector<std::string> stale_entries(const std::vector<std::string>& unconsumed,
+                                       const std::vector<std::filesystem::path>& roots,
+                                       const std::set<std::string>& checks) {
+  std::vector<std::string> stale;
+  for (const std::string& entry : unconsumed) {
+    // Key layout: check|rule|file|text (the text may itself contain '|').
+    const std::size_t check_end = entry.find('|');
+    const std::size_t rule_end = entry.find('|', check_end + 1);
+    const std::size_t file_end = entry.find('|', rule_end + 1);
+    if (file_end == std::string::npos) continue;
+    if (!checks.empty() && checks.count(entry.substr(0, check_end)) == 0) continue;
+    const std::string file = entry.substr(rule_end + 1, file_end - rule_end - 1);
+    const bool covered = std::any_of(roots.begin(), roots.end(), [&](const auto& root) {
+      std::string dir = root.lexically_normal().generic_string();
+      if (dir == "." || dir == "./") return true;
+      if (file == dir) return true;
+      if (dir.back() != '/') dir += '/';
+      return file.compare(0, dir.size(), dir) == 0;
+    });
+    if (covered) stale.push_back(entry);
+  }
+  return stale;
 }
 
 void Baseline::write(const std::filesystem::path& path, const std::vector<Finding>& findings) {

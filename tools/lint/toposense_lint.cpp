@@ -5,12 +5,15 @@
 // Usage:
 //   toposense_lint [options] <file-or-dir>...
 //     --checks a,b           run only the named checks (default: all)
-//     --baseline FILE        grandfathered findings; only new ones fail
+//     --baseline FILE        grandfathered findings; only new ones fail, and
+//                            so does any entry of a check that ran on a
+//                            scanned path that no finding matched (stale)
 //     --write-baseline FILE  write all current findings as the new baseline
 //     --sarif FILE           also emit SARIF 2.1.0
 //     --list-checks          print the registered checks and exit
 //
-// Exit: 0 clean (no non-baseline findings), 1 new findings, 2 usage/IO error.
+// Exit: 0 clean (no non-baseline findings, no stale baseline entries), 1 new
+// findings or stale entries, 2 usage/IO error.
 //
 // Run from the repository root so paths (and so baseline keys) are stable.
 #include <algorithm>
@@ -18,6 +21,7 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -179,9 +183,13 @@ int main(int argc, char** argv) {
 
     std::vector<lint::Finding> baselined;
     std::vector<lint::Finding> fresh;
+    std::vector<std::string> stale;
     if (!opts.baseline_path.empty()) {
       const lint::Baseline baseline = lint::Baseline::load(opts.baseline_path);
-      baseline.partition(findings, baselined, fresh);
+      std::set<std::string> ran;
+      for (const lint::Check* check : enabled) ran.emplace(check->name());
+      stale = lint::stale_entries(baseline.partition(findings, baselined, fresh), opts.roots,
+                                  ran);
     } else {
       fresh = findings;
     }
@@ -191,13 +199,17 @@ int main(int argc, char** argv) {
                   f.line, f.check.c_str(), f.rule.c_str(), f.message.c_str(),
                   f.check.c_str());
     }
+    for (const std::string& entry : stale) {
+      std::printf("%s: stale entry, no finding matches it (prune it): %s\n",
+                  opts.baseline_path.c_str(), entry.c_str());
+    }
     if (!opts.sarif_path.empty()) {
       lint::write_sarif(opts.sarif_path, registry, baselined, fresh);
     }
 
-    if (!fresh.empty()) {
-      std::printf("toposense_lint: %zu new finding(s), %zu baselined, %zu file(s)\n",
-                  fresh.size(), baselined.size(), files.size());
+    if (!fresh.empty() || !stale.empty()) {
+      std::printf("toposense_lint: %zu new finding(s), %zu baselined, %zu stale, %zu file(s)\n",
+                  fresh.size(), baselined.size(), stale.size(), files.size());
       return 1;
     }
     std::printf("toposense_lint: clean (%zu file(s), %zu baselined finding(s))\n",
