@@ -1,8 +1,9 @@
 // Clang thread-safety analysis attributes, compiled away on other toolchains.
 //
 // The simulator's concurrency contract is narrow by design — a Simulation is
-// single-threaded, and the only cross-thread surfaces are sim::ShardExecutor's
-// worker pool and the handoff channels it drains (docs/sharding.md). These
+// single-threaded, and the only cross-thread surfaces are sim::WorkerPool
+// (which runs ShardExecutor's shard windows and FluidEngine's split walks)
+// and the handoff channels ShardExecutor drains (docs/sharding.md). These
 // macros let Clang's `-Wthread-safety` analysis prove, at compile time, that
 // every access to that shared state holds the right lock; CI builds with
 // `-Werror=thread-safety-analysis` so a violation is a build break, not a

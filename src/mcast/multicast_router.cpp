@@ -206,9 +206,13 @@ std::vector<std::pair<net::NodeId, net::NodeId>> MulticastRouter::session_tree_e
   for (net::LayerId layer = 1; layer <= max_layer; ++layer) {
     const GroupTree* t = tree(net::GroupAddr{session, layer});
     if (t == nullptr) continue;
+    // Both runs are sorted and unique, so a merge keeps the union in the
+    // order sort_unique of the concatenation would give.
+    const auto middle = static_cast<std::ptrdiff_t>(edges.size());
     edges.insert(edges.end(), t->edges.begin(), t->edges.end());
+    std::inplace_merge(edges.begin(), edges.begin() + middle, edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   }
-  sort_unique(edges);
   return edges;
 }
 

@@ -37,7 +37,7 @@ struct GroupTree {
   std::vector<net::LinkId> fan_links;
 
   /// Tree edges as (parent, child) node pairs — what a topology discovery
-  /// tool (mtrace-style) would reconstruct.
+  /// tool (mtrace-style) would reconstruct. Sorted, without duplicates.
   std::vector<std::pair<net::NodeId, net::NodeId>> edges;
 
   /// Network::topology_version() at the instant this tree was (re)built. A
@@ -112,7 +112,8 @@ class MulticastRouter final : public net::MulticastForwarder {
   void corrupt_tree_edge_for_test(net::GroupAddr group);
 
   /// Union of the per-layer tree edges of `session` for layers [1..max_layer]
-  /// — the "multicast session topology" the paper's controller consumes.
+  /// — the "multicast session topology" the paper's controller consumes —
+  /// sorted, without duplicates.
   [[nodiscard]] std::vector<std::pair<net::NodeId, net::NodeId>> session_tree_edges(
       net::SessionId session, net::LayerId max_layer) const;
 

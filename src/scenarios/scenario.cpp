@@ -319,8 +319,8 @@ void Scenario::finalize() {
     ecfg.step = config_.traffic.fluid_step;
     ecfg.packet_size_bytes =
         static_cast<std::uint32_t>(config_.params.layers.packet_size_bytes);
-    fluid_engine_ =
-        std::make_unique<traffic::FluidEngine>(*simulation_, *network_, *mcast_, ecfg);
+    fluid_engine_ = std::make_unique<traffic::FluidEngine>(*simulation_, *network_, *mcast_,
+                                                           worker_pool_, ecfg);
     for (const auto& source : fluid_sources_) fluid_engine_->add_source(source.get());
     for (const auto& endpoint : endpoints_) {
       fluid_engine_->register_sink(endpoint->config().node, endpoint.get());

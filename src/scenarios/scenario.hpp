@@ -18,6 +18,7 @@
 #include "net/network.hpp"
 #include "scenarios/topology_file.hpp"
 #include "sim/simulation.hpp"
+#include "sim/worker_pool.hpp"
 #include "topo/discovery.hpp"
 #include "topo/mtrace.hpp"
 #include "traffic/cross_traffic.hpp"
@@ -341,6 +342,10 @@ class Scenario {
   std::vector<control::Domain> declared_domains_;
   std::vector<std::unique_ptr<traffic::LayeredSource>> sources_;
   std::vector<std::unique_ptr<traffic::FluidSource>> fluid_sources_;
+  /// Runs the fluid engine's split tree walks, one worker per hardware
+  /// thread. It spawns no threads until a walk is wide enough to split, so
+  /// packet-engine and small fluid scenarios never start any.
+  sim::WorkerPool worker_pool_;
   /// Built in finalize() when traffic.engine is kFluid. Holds non-owning
   /// pointers to fluid_sources_ and endpoints_ (as FluidSinks); safe because
   /// no events run during destruction.

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace tsim::sim {
-
-ShardExecutor::~ShardExecutor() { stop_pool(); }
 
 std::size_t ShardExecutor::add_shard(Simulation& shard) {
   shards_.push_back(&shard);
@@ -39,117 +38,37 @@ void ShardExecutor::run_until(Time end) {
     return;
   }
 
-  // Any throw below (a worker error surfaced at the barrier, or a lookahead
-  // violation in drain_channels) must stop and join the pool exactly once
-  // before propagating: the destructor's stop_pool() then sees no joinable
-  // workers, and the executor stays usable after the caller catches.
-  try {
-    const std::int64_t end_ns = end.as_nanoseconds();
+  const std::int64_t end_ns = end.as_nanoseconds();
 
-    // No channels: the shards are fully independent — one window to the end.
-    if (channels_.empty()) {
-      run_window(end);
-      ++windows_;
-      return;
-    }
-
-    while (cursor_ns_ <= end_ns) {
-      // Events with when < bound run this window; run_until is inclusive, so
-      // the shards advance to bound - 1ns. The final window runs through `end`
-      // itself (bound = end + 1), matching plain run_until semantics.
-      const std::int64_t bound_ns =
-          std::min(cursor_ns_ + lookahead_.as_nanoseconds(), end_ns + 1);
-      run_window(Time::nanoseconds(bound_ns - 1));
-      drain_channels(bound_ns);
-      cursor_ns_ = bound_ns;
-      ++windows_;
-    }
-  } catch (...) {
-    stop_pool();
-    throw;
+  // No channels: the shards are fully independent — one window to the end.
+  if (channels_.empty()) {
+    run_window(end);
+    ++windows_;
+    return;
   }
-}
 
-void ShardExecutor::run_claimed_shards(Time bound) {
-  for (;;) {
-    std::size_t index = 0;
-    {
-      // HOTPATH_ALLOW(lock: shard-claim handshake — one short critical section per shard per window, never per event)
-      core::LockGuard lock{mutex_};
-      if (next_shard_ >= shards_.size()) return;
-      index = next_shard_++;
-    }
-    try {
-      shards_[index]->run_until(bound);
-    } catch (...) {
-      // HOTPATH_ALLOW(lock: worker-error capture; runs only when a shard's window throws)
-      core::LockGuard lock{mutex_};
-      // HOTPATH_ALLOW(container-growth: worker-error capture; runs only when a shard's window throws)
-      worker_errors_.push_back(std::current_exception());
-    }
+  while (cursor_ns_ <= end_ns) {
+    // Events with when < bound run this window; run_until is inclusive, so
+    // the shards advance to bound - 1ns. The final window runs through `end`
+    // itself (bound = end + 1), matching plain run_until semantics.
+    const std::int64_t bound_ns =
+        std::min(cursor_ns_ + lookahead_.as_nanoseconds(), end_ns + 1);
+    run_window(Time::nanoseconds(bound_ns - 1));
+    drain_channels(bound_ns);
+    cursor_ns_ = bound_ns;
+    ++windows_;
   }
 }
 
 void ShardExecutor::run_window(Time bound) {
-  const std::size_t threads =
-      config_.threads != 0
-          ? config_.threads
-          : std::max<std::size_t>(1, std::min<std::size_t>(
-                                         shards_.size(), std::thread::hardware_concurrency()));
-
-  if (threads <= 1) {
-    // Sequential windows: identical results, no pool machinery.
-    for (Simulation* shard : shards_) shard->run_until(bound);
-    return;
+  if (!pool_) {
+    const std::size_t threads =
+        config_.threads != 0 ? config_.threads
+                             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    pool_ = std::make_unique<WorkerPool>(std::min(threads, shards_.size()));
   }
-
-  if (workers_.empty()) {
-    const std::size_t spawn = std::min(threads, shards_.size());
-    {
-      core::LockGuard lock{mutex_};
-      stopping_ = false;
-    }
-    workers_.reserve(spawn);
-    for (std::size_t i = 0; i < spawn; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  {
-    core::LockGuard lock{mutex_};
-    next_shard_ = 0;
-    window_bound_ = bound;
-    running_workers_ = workers_.size();
-    ++generation_;
-  }
-  work_ready_.notify_all();
-
-  core::UniqueLock lock{mutex_};
-  while (running_workers_ != 0) window_done_.wait(lock);
-  if (!worker_errors_.empty()) {
-    std::exception_ptr first = worker_errors_.front();
-    worker_errors_.clear();
-    std::rethrow_exception(first);
-  }
-}
-
-void ShardExecutor::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    Time bound{};
-    {
-      core::UniqueLock lock{mutex_};
-      while (!stopping_ && generation_ == seen) work_ready_.wait(lock);
-      if (stopping_) return;
-      seen = generation_;
-      bound = window_bound_;
-    }
-    run_claimed_shards(bound);
-    {
-      core::LockGuard lock{mutex_};
-      if (--running_workers_ == 0) window_done_.notify_all();
-    }
-  }
+  pool_->run(shards_.size(),
+             [this, bound](std::size_t shard, std::size_t) { shards_[shard]->run_until(bound); });
 }
 
 void ShardExecutor::drain_channels(std::int64_t bound_ns) {
@@ -193,18 +112,6 @@ std::uint64_t ShardExecutor::executed_events() const {
   std::uint64_t total = 0;
   for (const Simulation* shard : shards_) total += shard->scheduler().executed_events();
   return total;
-}
-
-void ShardExecutor::stop_pool() {
-  {
-    core::LockGuard lock{mutex_};
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
 }
 
 }  // namespace tsim::sim

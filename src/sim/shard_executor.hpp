@@ -1,17 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "core/hotpath.hpp"
-#include "core/mutex.hpp"
-#include "core/thread_annotations.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace tsim::sim {
 
@@ -37,25 +33,24 @@ namespace tsim::sim {
 /// reference source-shard objects — PacketRef, for one, is backed by a
 /// thread-local pool and must never cross shards.
 ///
-/// Threading model (statically enforced — see docs/sharding.md): everything
-/// the worker pool shares is guarded by `mutex_` and annotated TS_GUARDED_BY,
-/// so a Clang `-Wthread-safety` build proves lock discipline at compile time;
-/// the TSan shard gate in CI validates the same contract dynamically.
+/// Threading model (see docs/sharding.md): each window is one sim::WorkerPool
+/// run with one task per shard, so the pool's annotated handshake is the only
+/// shared state; the TSan shard gate in CI validates it dynamically.
 class ShardExecutor {
  public:
   struct Config {
-    /// Worker threads for shard windows. 0 picks min(shards, hardware
-    /// concurrency); 1 runs shards sequentially on the calling thread (same
-    /// results, no pool).
+    /// Threads for shard windows, counting the calling thread. 0 picks
+    /// min(shards, hardware concurrency); 1 runs shards sequentially on the
+    /// calling thread (same results, no threads).
     std::size_t threads{0};
   };
 
   /// A one-way handoff queue between two shards with a fixed minimum latency.
   /// post() is legal only from the source shard's thread while its window is
   /// running (each channel has exactly one posting shard, so no lock is
-  /// needed); the executor drains every channel at the window barrier, on the
-  /// barrier thread, after every worker has parked — the two phases never
-  /// overlap, which is why `outbox_` needs no capability of its own.
+  /// needed); the executor drains every channel on the calling thread after
+  /// the window's pool run has returned — the two phases never overlap, which
+  /// is why `outbox_` needs no capability of its own.
   class Channel {
    public:
     Channel(const Channel&) = delete;
@@ -97,7 +92,6 @@ class ShardExecutor {
   explicit ShardExecutor(Config config) : config_{config} {}
   ShardExecutor(const ShardExecutor&) = delete;
   ShardExecutor& operator=(const ShardExecutor&) = delete;
-  ~ShardExecutor();
 
   /// Registers a shard; returns its index. All shards must be registered
   /// before the first run_until. The executor does not own the Simulation.
@@ -112,13 +106,10 @@ class ShardExecutor {
 
   /// Advances every shard to `end` (events at exactly `end` execute, matching
   /// Simulation::run_until). Callable repeatedly with increasing bounds.
-  /// If a window or the barrier throws (worker error, lookahead violation),
-  /// the pool is stopped and joined before the exception propagates, so the
-  /// executor is left destructible and restartable with no joinable threads.
-  HOT_PATH_EXEMPT(
-      "coordinator entry: owns per-window pool setup/teardown, not per-event work; it is "
-      "reached from the hot worker loop only through name over-approximation of "
-      "Simulation::run_until on the claimed shard")
+  /// A shard that throws is rethrown after its window's barrier, once the
+  /// pool has stopped and joined its threads; a lookahead violation throws
+  /// from the barrier. Either way the executor stays destructible and
+  /// restartable.
   void run_until(Time end);
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -129,32 +120,19 @@ class ShardExecutor {
   [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
 
  private:
-  void run_window(Time bound) TS_EXCLUDES(mutex_);
+  void run_window(Time bound);
   void drain_channels(std::int64_t bound_ns);
-  void stop_pool() TS_EXCLUDES(mutex_);
-  void worker_loop() TS_EXCLUDES(mutex_);
-  HOT_PATH void run_claimed_shards(Time bound) TS_EXCLUDES(mutex_);
 
-  /// --- barrier-thread state (never touched by workers) --------------------
   Config config_;
-  std::vector<Simulation*> shards_;  ///< shard *slots* are claimed via next_shard_
+  std::vector<Simulation*> shards_;
   std::vector<std::unique_ptr<Channel>> channels_;
   Time lookahead_{Time::max()};
   std::int64_t cursor_ns_{0};  ///< next window start
   std::uint64_t windows_{0};
   std::uint64_t delivered_{0};
-  std::vector<std::thread> workers_;  ///< spawned/joined by the barrier thread only
-
-  /// --- state shared with the worker pool, all guarded by mutex_ -----------
-  core::Mutex mutex_;
-  core::ConditionVariable work_ready_;
-  core::ConditionVariable window_done_;
-  std::uint64_t generation_ TS_GUARDED_BY(mutex_){0};
-  std::size_t running_workers_ TS_GUARDED_BY(mutex_){0};
-  std::size_t next_shard_ TS_GUARDED_BY(mutex_){0};  ///< claim cursor
-  Time window_bound_ TS_GUARDED_BY(mutex_){};
-  bool stopping_ TS_GUARDED_BY(mutex_){false};
-  std::vector<std::exception_ptr> worker_errors_ TS_GUARDED_BY(mutex_);
+  /// Created by the first window, sized from config_.threads and the shard
+  /// count.
+  std::unique_ptr<WorkerPool> pool_;
 };
 
 }  // namespace tsim::sim

@@ -11,6 +11,7 @@
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "sim/worker_pool.hpp"
 #include "traffic/fluid_sink.hpp"
 #include "traffic/fluid_source.hpp"
 
@@ -38,9 +39,20 @@ namespace tsim::traffic {
 /// t = k*step integrates [(k-1)*step, k*step) against membership as of its
 /// end, so joins at t=0 are live in the very first step.
 ///
-/// Determinism: sources are walked in add order, layers in order, tree links
-/// in CSR order, background flows in add order. All timing derives from
-/// sim::Time.
+/// Parallel walks: a group's walk descends serially from the source, and
+/// every node whose CSR span holds at least kSplitLinks links has the span cut
+/// into tasks of kTaskLinks links, each walking its links and their whole
+/// subtrees on a sim::WorkerPool worker. Groups stay sequential (one pool run
+/// per group per pass), so each link's offered rate still sums in (source,
+/// layer) order, and a tree holds each link and member once, so no two tasks
+/// share a link, cell, member credit or sink. The queue step and the loss
+/// roll are per-link and run as chunks of the touched list. Any partition
+/// therefore performs the same floating-point operations on the same state:
+/// results are bit-identical at every pool size. Trees with no such span
+/// (and background flows) stay on the calling thread.
+///
+/// Determinism: sources are walked in add order, layers in order, background
+/// flows in add order. All timing derives from sim::Time.
 class FluidEngine {
  public:
   struct Config {
@@ -53,14 +65,21 @@ class FluidEngine {
     std::uint32_t packet_size_bytes{1000};
   };
 
+  /// A span of at least this many links is split into tasks...
+  static constexpr std::uint32_t kSplitLinks = 2048;
+  /// ...of this many links each (the last one may be shorter).
+  static constexpr std::uint32_t kTaskLinks = 1024;
+
+  /// `pool` runs the split walks; it is borrowed and must outlive the engine.
   FluidEngine(sim::Simulation& simulation, net::Network& network,
-              mcast::MulticastRouter& mcast, Config config);
+              mcast::MulticastRouter& mcast, sim::WorkerPool& pool, Config config);
 
   /// Registers a source; not owned. All sources must be added before start().
   void add_source(FluidSource* source);
 
   /// Registers a per-node delivery sink (a ReceiverEndpoint). Multiple sinks
-  /// per node are allowed (each filters by session).
+  /// per node are allowed (each filters by session). Sinks are called from
+  /// pool threads (see FluidSink).
   void register_sink(net::NodeId node, FluidSink* sink);
 
   /// Unicast background (cross-traffic) flow at a constant rate: resolved to
@@ -87,25 +106,19 @@ class FluidEngine {
     bool touched{false};
   };
 
-  /// Exact-accumulator + credited-integer pair for one (group, link) cell.
-  /// Credits are floor(exact) - credited, so integerization error never
-  /// accumulates beyond one packet/byte regardless of step count.
+  /// Exact accumulators for one (group, link) cell. A step credits the
+  /// change in their floors (see floor_delta in the .cpp), so integerization
+  /// error never accumulates beyond one packet/byte regardless of step count.
   struct Cell {
     double delivered_acc{0.0};  ///< cumulative delivered volume, in bytes
     double dropped_acc{0.0};    ///< cumulative dropped volume, in packets
-    std::uint64_t delivered_bytes_credited{0};
-    std::uint64_t delivered_packets_credited{0};
-    std::uint64_t dropped_bytes_credited{0};
-    std::uint64_t dropped_packets_credited{0};
   };
 
+  /// Exact accumulators for one (group, member) pair, credited like Cell.
   struct MemberCredit {
     double byte_acc{0.0};
     double recv_acc{0.0};
     double lost_acc{0.0};
-    std::uint64_t bytes_credited{0};
-    std::uint64_t recv_credited{0};
-    std::uint64_t lost_credited{0};
   };
 
   struct BackgroundFlow {
@@ -119,6 +132,29 @@ class FluidEngine {
     std::vector<Cell> cells;  ///< parallel to path_links
   };
 
+  /// One group's pass-B walk: what every task of the walk credits against.
+  struct CreditWalk {
+    const mcast::GroupTree* tree{nullptr};
+    net::GroupAddr group{};
+    std::uint32_t gid{0};
+    double source_rate{0.0};
+    double packet_size{0.0};
+    Cell* cells{nullptr};  ///< cells_[gid]
+  };
+
+  /// Links [begin, end) of one CSR span, all fed at `inflow`.
+  struct WalkTask {
+    std::uint32_t begin{0};
+    std::uint32_t end{0};
+    double inflow{0.0};
+  };
+
+  /// Per-worker walk scratch, on its own cache lines.
+  struct alignas(64) WorkerScratch {
+    std::vector<std::pair<net::NodeId, double>> stack;
+    std::vector<net::LinkId> touched;
+  };
+
   void step();
   HOT_PATH_EXEMPT(
       "per-step capacity warm-up: resizes the link table and credit rows and reserves the "
@@ -127,18 +163,31 @@ class FluidEngine {
   /// Marks a link as carrying fluid this step; on the first touch after an
   /// idle gap, drains the backlog for the gap at line rate and zeroes the
   /// stale loss fraction.
-  void touch(net::LinkId link);
+  void touch(net::LinkId link, WorkerScratch& scratch);
   /// Source rate over the trailing step window [t0, t1), scaled by the
   /// overlap with the source's [start, stop).
   [[nodiscard]] double effective_rate(FluidSource& source, net::LayerId layer,
                                       sim::Time t0, sim::Time t1);
-  HOT_PATH void walk_offered(const mcast::GroupTree& tree, double rate);
-  HOT_PATH void walk_credit(const mcast::GroupTree& tree, net::GroupAddr group,
-                            std::uint32_t gid, double rate, double source_packet_size);
+  /// Pass A / pass B for one group: the serial descent on the calling
+  /// thread, then one pool run over the tasks it cut.
+  void offer_group(const mcast::GroupTree& tree, double rate);
+  void credit_group(const CreditWalk& walk);
+  /// Pops `scratch.stack` until it is empty, walking each node's span; with
+  /// `split`, spans of kSplitLinks or more become tasks_ instead.
+  HOT_PATH void walk_offered(const mcast::GroupTree& tree, WorkerScratch& scratch, bool split);
+  HOT_PATH void walk_credit(const CreditWalk& walk, WorkerScratch& scratch, bool split);
+  void offer_span(const mcast::GroupTree& tree, std::uint32_t begin, std::uint32_t end,
+                  double inflow, WorkerScratch& scratch);
+  void credit_span(const CreditWalk& walk, std::uint32_t begin, std::uint32_t end,
+                   double inflow, WorkerScratch& scratch);
+  void split_span(const mcast::GroupTree::FanSlot& slot, double inflow);
+  /// Runs fn(link) for every touched link, in chunks on the pool when there
+  /// are kSplitLinks or more.
+  template <typename Fn>
+  void for_each_touched(const Fn& fn);
   void credit_cell(Cell& cell, std::uint32_t gid, net::LinkId link, double inflow,
                    double delivered, double packet_size);
-  void credit_member(net::GroupAddr group, std::uint32_t gid, net::NodeId node, double rate,
-                     double source_rate, double packet_size);
+  void credit_member(const CreditWalk& walk, net::NodeId node, double rate);
   HOT_PATH_EXEMPT(
       "lazy one-shot path resolution per background flow, after routes first converge; "
       "steps after that reuse flow.path_links")
@@ -147,11 +196,13 @@ class FluidEngine {
   sim::Simulation& simulation_;
   net::Network& network_;
   mcast::MulticastRouter& mcast_;
+  sim::WorkerPool& pool_;
   Config config_;
   std::vector<FluidSource*> sources_;
   std::vector<std::vector<FluidSink*>> sinks_by_node_;
   std::vector<BackgroundFlow> background_;
   std::vector<LinkState> link_state_;
+  /// Every worker's touched links, concatenated after pass A.
   std::vector<net::LinkId> touched_;
   /// Credit state, one dense row per group-stats id: cells_[gid] by LinkId
   /// (the layout of Network::group_delivered_cell), members_[gid] by NodeId.
@@ -159,7 +210,10 @@ class FluidEngine {
   /// survive tree rebuilds. ensure_capacity() is the only place rows grow.
   std::vector<std::vector<Cell>> cells_;
   std::vector<std::vector<MemberCredit>> members_;
-  std::vector<std::pair<net::NodeId, double>> stack_;  ///< walk scratch
+  /// One per pool worker; [0] belongs to the calling thread.
+  std::vector<WorkerScratch> scratch_;
+  /// The current walk's tasks, cut by the serial descent.
+  std::vector<WalkTask> tasks_;
   std::uint64_t steps_{0};
 };
 

@@ -20,6 +20,13 @@ class FluidSink {
 
   /// `received`/`lost` partition the packets the source emitted for this
   /// member during the step; `bytes` is the payload of the received share.
+  ///
+  /// Called from sim::WorkerPool threads: the engine splits wide group walks
+  /// into tasks, and sinks on different nodes may be credited at the same
+  /// time. An implementation may touch only its own state (no scheduling, no
+  /// shared counters, no other sink). Calls for one sink never overlap: a
+  /// group's walk visits each node once, and groups are walked one after
+  /// another.
   virtual void on_fluid_delivery(net::GroupAddr group, units::Bytes bytes,
                                  units::PacketCount received,
                                  units::PacketCount lost) = 0;

@@ -89,7 +89,8 @@ class ReceiverEndpoint : public traffic::FluidSink {
   /// traffic::FluidSink: integrated delivery from the fluid engine. Credits
   /// the open window and lifetime totals exactly as handle_data does per
   /// packet (lost feeds window_.lost_packets; close_window folds it into the
-  /// lifetime total, same as sequence-gap loss).
+  /// lifetime total, same as sequence-gap loss). Runs on fluid-engine pool
+  /// threads, so it reads and writes only this endpoint's own members.
   void on_fluid_delivery(net::GroupAddr group, units::Bytes bytes,
                          units::PacketCount received, units::PacketCount lost) override;
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "sim/simulation.hpp"
 
@@ -198,6 +200,50 @@ TEST_F(McastFixture, SessionTreeOverlaysLayers) {
   const auto edges = router.session_tree_edges(0, 6);
   // Overlay is the union: src->r, r->a, r->b.
   EXPECT_EQ(edges.size(), 3u);
+}
+
+TEST(SessionTreeEdgesTest, MergedLayersEqualSortedUnionOfOverlappingTrees) {
+  sim::Simulation simulation{1};
+  net::Network network{simulation};
+  // Leaves get the low node ids, so edges sort by parent first and each
+  // layer's hub->leaf edges interleave with the other layers' in the union.
+  std::vector<net::NodeId> leaves;
+  for (int i = 0; i < 12; ++i) leaves.push_back(network.add_node());
+  const net::NodeId src = network.add_node("src");
+  std::vector<net::NodeId> hubs;
+  for (int h = 0; h < 3; ++h) {
+    hubs.push_back(network.add_node());
+    network.add_duplex_link(src, hubs.back(), tsim::units::BitsPerSec{10e6}, 10_ms);
+  }
+  for (int i = 0; i < 12; ++i) {
+    network.add_duplex_link(hubs[i % 3], leaves[i], tsim::units::BitsPerSec{10e6}, 10_ms);
+  }
+  network.compute_routes();
+  MulticastRouter router{simulation, network, {Time::zero(), 1_s}};
+  router.set_session_source(0, src);
+  // Layer l reaches leaf i when (i * l) % 7 < 4: five partly overlapping
+  // member sets. Layer 6 has no members and no tree.
+  for (int layer = 1; layer <= 5; ++layer) {
+    for (int i = 0; i < 12; ++i) {
+      if ((i * layer) % 7 < 4) {
+        router.join(leaves[i], net::GroupAddr{0, static_cast<net::LayerId>(layer)});
+      }
+    }
+  }
+
+  for (int max_layer = 1; max_layer <= 6; ++max_layer) {
+    std::vector<std::pair<net::NodeId, net::NodeId>> expected;
+    for (int layer = 1; layer <= max_layer; ++layer) {
+      const GroupTree* tree = router.tree(net::GroupAddr{0, static_cast<net::LayerId>(layer)});
+      if (tree != nullptr) expected.insert(expected.end(), tree->edges.begin(), tree->edges.end());
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
+    EXPECT_EQ(router.session_tree_edges(0, static_cast<net::LayerId>(max_layer)), expected)
+        << "max_layer " << max_layer;
+  }
+  // Every hub and every leaf is on some layer's tree.
+  EXPECT_EQ(router.session_tree_edges(0, 6).size(), 15u);
 }
 
 TEST_F(McastFixture, DuplicateJoinIsIdempotent) {

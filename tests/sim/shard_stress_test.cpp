@@ -145,14 +145,17 @@ TEST(ShardStressTest, ExecutorRestartsAfterWorkerException) {
 
   EXPECT_THROW(executor.run_until(1_s), std::runtime_error);
 
-  // The pool was stopped and joined by the scope guard; a fresh run_until
-  // must respawn it and make progress.
+  // The pool was stopped and joined after the barrier; a fresh run_until
+  // must respawn it and make progress. One counter per shard: the two events
+  // run concurrently on different threads.
   armed = false;
-  int late_events = 0;
-  a.at(2_s, [&] { ++late_events; });
-  b.at(2_s, [&] { ++late_events; });
+  int a_late_events = 0;
+  int b_late_events = 0;
+  a.at(2_s, [&] { ++a_late_events; });
+  b.at(2_s, [&] { ++b_late_events; });
   executor.run_until(3_s);
-  EXPECT_EQ(late_events, 2);
+  EXPECT_EQ(a_late_events, 1);
+  EXPECT_EQ(b_late_events, 1);
 }
 
 }  // namespace
