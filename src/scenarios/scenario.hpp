@@ -342,9 +342,9 @@ class Scenario {
   std::vector<control::Domain> declared_domains_;
   std::vector<std::unique_ptr<traffic::LayeredSource>> sources_;
   std::vector<std::unique_ptr<traffic::FluidSource>> fluid_sources_;
-  /// Runs the fluid engine's split tree walks, one worker per hardware
-  /// thread. It spawns no threads until a walk is wide enough to split, so
-  /// packet-engine and small fluid scenarios never start any.
+  /// Runs the fluid engine's split tree walks, one worker per CPU the
+  /// process may run on. It spawns no threads until a walk is wide enough to
+  /// split, so packet-engine and small fluid scenarios never start any.
   sim::WorkerPool worker_pool_;
   /// Built in finalize() when traffic.engine is kFluid. Holds non-owning
   /// pointers to fluid_sources_ and endpoints_ (as FluidSinks); safe because

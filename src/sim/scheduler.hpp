@@ -66,8 +66,9 @@ class Scheduler {
   void cancel(EventId id);
 
   /// Runs events until the queue empties or the clock passes `until`.
-  /// Events at exactly `until` are executed.
-  void run_until(Time until);
+  /// Events at exactly `until` are executed. The per-event loop: every
+  /// simulation, sharded or not, spends its run here.
+  HOT_PATH void run_until(Time until);
 
   /// Runs a single event; returns false if the queue is empty.
   bool step();

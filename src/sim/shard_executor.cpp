@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 namespace tsim::sim {
 
@@ -63,8 +62,7 @@ void ShardExecutor::run_until(Time end) {
 void ShardExecutor::run_window(Time bound) {
   if (!pool_) {
     const std::size_t threads =
-        config_.threads != 0 ? config_.threads
-                             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+        config_.threads != 0 ? config_.threads : WorkerPool::available_cpus();
     pool_ = std::make_unique<WorkerPool>(std::min(threads, shards_.size()));
   }
   pool_->run(shards_.size(),

@@ -40,8 +40,8 @@ class ShardExecutor {
  public:
   struct Config {
     /// Threads for shard windows, counting the calling thread. 0 picks
-    /// min(shards, hardware concurrency); 1 runs shards sequentially on the
-    /// calling thread (same results, no threads).
+    /// min(shards, WorkerPool::available_cpus()); 1 runs shards sequentially
+    /// on the calling thread (same results, no threads).
     std::size_t threads{0};
   };
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 namespace tsim::sim {
 
@@ -26,39 +25,20 @@ void spin_pause() {
 #endif
 }
 
-/// Moves the calling worker thread to its own CPU: the `worker`-th CPU after
-/// `caller_cpu` in the process's affinity mask, cyclically. The mask is
-/// restored right away, so the thread is placed, not pinned. Without this the
-/// kernel tends to start every new thread on the same idle CPU, where
-/// spinning workers can sit for about a second before load balancing
-/// separates them.
-void place_worker(std::size_t worker, int caller_cpu) {
-#if defined(__linux__)
-  cpu_set_t allowed;
-  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
-  std::vector<int> cpus;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
-  }
-  if (cpus.size() < 2) return;
-  const auto caller = std::find(cpus.begin(), cpus.end(), caller_cpu);
-  const std::size_t start =
-      caller == cpus.end() ? 0 : static_cast<std::size_t>(caller - cpus.begin());
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpus[(start + worker) % cpus.size()], &one);
-  if (sched_setaffinity(0, sizeof one, &one) == 0) sched_setaffinity(0, sizeof allowed, &allowed);
-#else
-  (void)worker;
-  (void)caller_cpu;
-#endif
-}
-
 }  // namespace
 
+std::size_t WorkerPool::available_cpus() {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) == 0 && CPU_COUNT(&allowed) > 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&allowed));
+  }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 WorkerPool::WorkerPool(std::size_t workers)
-    : workers_{workers != 0 ? workers
-                            : std::max<std::size_t>(1, std::thread::hardware_concurrency())} {}
+    : workers_{workers != 0 ? workers : available_cpus()} {}
 
 WorkerPool::~WorkerPool() { stop(); }
 
@@ -113,17 +93,9 @@ void WorkerPool::publish() {
 
 void WorkerPool::spawn() {
   const std::uint64_t seen = generation_.load(std::memory_order_relaxed);
-#if defined(__linux__)
-  const int caller_cpu = sched_getcpu();
-#else
-  const int caller_cpu = -1;
-#endif
   threads_.reserve(workers_ - 1);
   for (std::size_t worker = 1; worker < workers_; ++worker) {
-    threads_.emplace_back([this, worker, seen, caller_cpu] {
-      place_worker(worker, caller_cpu);
-      worker_loop(worker, seen);
-    });
+    threads_.emplace_back([this, worker, seen] { worker_loop(worker, seen); });
   }
 }
 

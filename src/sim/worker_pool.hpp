@@ -25,14 +25,12 @@ namespace tsim::sim {
 ///
 /// Lifecycle: the threads are spawned by the first run with more than one
 /// task, never by the constructor, so a pool that only ever sees single-task
-/// runs (or has one worker) costs no threads. Each spawned thread moves itself
-/// to its own CPU once and keeps the full affinity mask. Between runs a worker
-/// spins for a bounded number of iterations, then parks on a condition
-/// variable; the publisher only broadcasts when a worker is parked, so
-/// back-to-back runs never pay a futex wake. If a task throws, the remaining
-/// tasks still run; after the barrier the pool stops and joins its threads,
-/// then rethrows the first exception. The next multi-task run spawns them
-/// again.
+/// runs (or has one worker) costs no threads. Between runs a worker spins for
+/// a bounded number of iterations, then parks on a condition variable; the
+/// publisher only broadcasts when a worker is parked, so back-to-back runs
+/// never pay a futex wake. If a task throws, the remaining tasks still run;
+/// after the barrier the pool stops and joins its threads, then rethrows the
+/// first exception. The next multi-task run spawns them again.
 ///
 /// Threading model (docs/sharding.md): the batch (task function, context,
 /// count) is written by the calling thread while every worker is idle and
@@ -41,14 +39,19 @@ namespace tsim::sim {
 /// handshake shares is guarded by `mutex_` and annotated TS_GUARDED_BY.
 class WorkerPool {
  public:
-  /// `workers` counts the calling thread: 0 picks the hardware concurrency,
-  /// 1 runs every task on the calling thread.
+  /// `workers` counts the calling thread: 0 picks available_cpus(), 1 runs
+  /// every task on the calling thread.
   explicit WorkerPool(std::size_t workers = 0);
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
   ~WorkerPool();
 
   [[nodiscard]] std::size_t workers() const { return workers_; }
+
+  /// CPUs this process may run on: the size of its affinity mask, or the
+  /// hardware concurrency where that cannot be read. A cgroup CPU quota is
+  /// not seen. At least 1.
+  [[nodiscard]] static std::size_t available_cpus();
 
   /// Runs fn(task, worker) for every task in [0, tasks) and returns once all
   /// have finished. `fn` is called concurrently, so it must be safe to call

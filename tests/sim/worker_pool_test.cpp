@@ -5,6 +5,7 @@
 #include "sim/worker_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -130,6 +131,31 @@ TEST(WorkerPoolTest, AutoSizeCountsAtLeastTheCallingThread) {
   EXPECT_GE(pool.workers(), 1u);
   EXPECT_EQ(run_counts(pool, 33), std::vector<int>(33, 1));
 }
+
+#if defined(__linux__)
+TEST(WorkerPoolTest, AutoSizeFollowsTheAffinityMask) {
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  EXPECT_EQ(WorkerPool::available_cpus(), static_cast<std::size_t>(CPU_COUNT(&allowed)));
+
+  // Restricted to one CPU, an auto-sized pool runs on the calling thread
+  // alone, however many CPUs the machine has.
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const std::size_t restricted = WorkerPool::available_cpus();
+  const std::size_t workers = WorkerPool{}.workers();
+  ASSERT_EQ(sched_setaffinity(0, sizeof allowed, &allowed), 0);
+  EXPECT_EQ(restricted, 1u);
+  EXPECT_EQ(workers, 1u);
+}
+#endif
 
 }  // namespace
 }  // namespace tsim::sim

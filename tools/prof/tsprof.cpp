@@ -3,13 +3,13 @@
 //   TSPROF_OUT=prof.txt LD_PRELOAD=build/tools/prof/libtsprof.so ./build/examples/toposense_sim
 //   python3 tools/prof/report.py prof.txt
 //
-// On load it arms ITIMER_REAL with a 200 us period (TSPROF_PERIOD_US
-// overrides it). Each SIGALRM records the interrupted instruction pointer
-// from the signal's ucontext into a fixed buffer; nothing else runs in the
-// handler. ITIMER_REAL counts wall-clock time, so samples keep arriving where
-// ITIMER_PROF (what gprof uses) is throttled by the VM's scheduler, and the
-// instruction pointer attributes each sample to the function that was
-// actually running, with no call-graph folding.
+// On load it arms ITIMER_REAL with a fixed 200 us period. Each SIGALRM
+// records the interrupted instruction pointer from the signal's ucontext into
+// a fixed buffer; nothing else runs in the handler. ITIMER_REAL counts
+// wall-clock time, so samples keep arriving where ITIMER_PROF (what gprof
+// uses) is throttled by the VM's scheduler, and the instruction pointer
+// attributes each sample to the function that was actually running, with no
+// call-graph folding.
 //
 // Only the thread that receives the signal is sampled. ITIMER_REAL raises a
 // process-directed SIGALRM, which Linux hands to the main thread while it
@@ -40,7 +40,8 @@
 
 namespace {
 
-constexpr std::size_t kMaxSamples = std::size_t{1} << 20;  // ~3.5 min at 200 us
+constexpr long kPeriodUs = 200;
+constexpr std::size_t kMaxSamples = std::size_t{1} << 20;  // ~3.5 min at kPeriodUs
 
 std::uintptr_t g_samples[kMaxSamples];
 std::atomic<std::size_t> g_count{0};
@@ -84,16 +85,13 @@ int describe_main(dl_phdr_info* info, std::size_t, void* data) {
 }
 
 __attribute__((constructor)) void start_sampling() {
-  long period_us = 200;
-  if (const char* env = std::getenv("TSPROF_PERIOD_US")) period_us = std::max(1L, std::atol(env));
   struct sigaction action {};
   action.sa_sigaction = on_alarm;
   action.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&action.sa_mask);
   sigaction(SIGALRM, &action, nullptr);
   itimerval timer{};
-  timer.it_interval.tv_sec = period_us / 1'000'000;
-  timer.it_interval.tv_usec = period_us % 1'000'000;
+  timer.it_interval.tv_usec = kPeriodUs;
   timer.it_value = timer.it_interval;
   setitimer(ITIMER_REAL, &timer, nullptr);
 }
