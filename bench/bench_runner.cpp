@@ -50,6 +50,7 @@
 #include "sim/random.hpp"
 #include "sim/shard_executor.hpp"
 #include "sim/simulation.hpp"
+#include "sim/worker_pool.hpp"
 #include "traffic/layered_source.hpp"
 
 namespace {
@@ -466,10 +467,11 @@ void write_e2e_json(const std::string& path, const E2eCase& c) {
 ///                      routing table materializes zero per-source rows.
 ///   * tiered_1k      — the full closed loop (controller, reports, joins) on
 ///                      a tiered topology with ~1000 receivers.
-///   * seed sweep     — N independent topology_b simulations on a thread
-///                      pool, one Scheduler per simulation, each seed run
-///                      twice: per-seed fingerprints must match across the
-///                      two passes even with threads interleaving freely.
+///   * seed sweep     — N independent topology_b simulations on a
+///                      sim::WorkerPool, one Scheduler per simulation, each
+///                      seed run twice: per-seed fingerprints must match
+///                      across the two passes even with threads interleaving
+///                      freely.
 
 struct ScaleCase {
   std::string name;
@@ -861,17 +863,17 @@ struct SweepSummary {
   bool deterministic;
 };
 
-/// Runs `seeds` independent topology_b simulations on a thread pool, each
-/// seed twice. Determinism must hold per seed regardless of how the OS
-/// interleaves the workers — each simulation owns its Scheduler, Network and
-/// RNG streams, so the only shared state is the result slots written by
-/// distinct workers.
+/// Runs `seeds` independent topology_b simulations on a sim::WorkerPool of
+/// min(available CPUs, seeds) workers, one task per seed, each seed run
+/// twice. Determinism must hold per seed regardless of how the OS interleaves
+/// the workers — each simulation owns its Scheduler, Network and RNG streams,
+/// so the only shared state is the result slots written by distinct tasks.
 SweepSummary run_seed_sweep(int sessions, Time duration, std::uint64_t seeds) {
   SweepSummary s;
   s.sessions = sessions;
   s.sim_seconds = duration.as_seconds();
-  const unsigned hw = std::thread::hardware_concurrency();
-  s.threads = std::min<unsigned>(hw == 0 ? 2 : hw, static_cast<unsigned>(seeds));
+  sim::WorkerPool pool{std::min<std::size_t>(sim::WorkerPool::available_cpus(), seeds)};
+  s.threads = static_cast<unsigned>(pool.workers());
   s.results.resize(seeds);
 
   const auto run_seed = [&](std::uint64_t seed) {
@@ -887,20 +889,13 @@ SweepSummary run_seed_sweep(int sessions, Time duration, std::uint64_t seeds) {
   };
 
   const auto start = Clock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(s.threads);
-  for (unsigned w = 0; w < s.threads; ++w) {
-    workers.emplace_back([&, w]() {
-      for (std::uint64_t i = w; i < seeds; i += s.threads) {
-        const std::uint64_t seed = i + 1;
-        const auto [fp1, events] = run_seed(seed);
-        const auto [fp2, events2] = run_seed(seed);
-        s.results[i] = SweepResult{seed, events + events2, fp1, fp2,
-                                   fp1 == fp2 && events == events2};
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
+  pool.run(seeds, [&](std::size_t i, std::size_t) {
+    const std::uint64_t seed = i + 1;
+    const auto [fp1, events] = run_seed(seed);
+    const auto [fp2, events2] = run_seed(seed);
+    s.results[i] =
+        SweepResult{seed, events + events2, fp1, fp2, fp1 == fp2 && events == events2};
+  });
   s.wall_s = seconds_since(start);
 
   s.total_events = 0;
