@@ -546,11 +546,10 @@ void ablation_competing_flow(Report& out) {
            "set1 loss%");
   for (const double rate : rates) {
     out.block([=] {
-      scenarios::TopologyAOptions options;
-      options.cross_traffic_bps = rate;
-      options.cross_start = cross_start;
-      options.cross_stop = cross_stop;
-      auto s = ScenarioBuilder(paper_config(6005)).topology_a(options).build();
+      ScenarioBuilder builder{paper_config(6005)};
+      builder.topology_a({});
+      if (rate > 0.0) builder.with_cross_traffic({"r0", "r1", rate, cross_start, cross_stop});
+      auto s = builder.build();
       s->run();
       // Mean level of the two set-1 receivers; both add into one accumulator.
       const auto set1_level = [&](Time from, Time to) {

@@ -5,8 +5,8 @@
 // receiver.
 //
 // This example builds a custom topology directly against the substrate API
-// (Network/MulticastRouter/...) rather than using the canned Scenario
-// factories, demonstrating the lower-level public surface.
+// (Network/MulticastRouter/...) rather than through ScenarioBuilder,
+// demonstrating the lower-level public surface.
 #include <cstdio>
 #include <memory>
 #include <vector>

@@ -87,6 +87,15 @@ std::vector<Prescription> OptimalAllocator::allocate(
   };
   std::vector<TrackedLink> links;
   std::unordered_map<LinkKey, std::size_t> link_index;
+  // cumulative[l] is layers_.cumulative_rate(l).bps(): the same doubles,
+  // summed once instead of per receiver and level.
+  std::vector<double> cumulative(static_cast<std::size_t>(layers_.num_layers) + 1);
+  for (int l = 0; l <= layers_.num_layers; ++l) {
+    cumulative[static_cast<std::size_t>(l)] = layers_.cumulative_rate(l).bps();
+  }
+  const auto rate = [&cumulative](int level) {
+    return cumulative[static_cast<std::size_t>(level)];
+  };
   std::vector<TreeIndex> trees;
   trees.reserve(sessions.size());
   for (const SessionInput& session : sessions) trees.emplace_back(session);
@@ -128,8 +137,7 @@ std::vector<Prescription> OptimalAllocator::allocate(
       for (const std::size_t li : paths[r]) {
         const TrackedLink& link = links[li];
         if (next <= link.session_max[si]) continue;  // this link's max is elsewhere
-        const double usage = link.usage - layers_.cumulative_rate(link.session_max[si]).bps() +
-                             layers_.cumulative_rate(next).bps();
+        const double usage = link.usage - rate(link.session_max[si]) + rate(next);
         if (usage > link.capacity) {
           ok = false;
           break;
@@ -143,8 +151,7 @@ std::vector<Prescription> OptimalAllocator::allocate(
       for (const std::size_t li : paths[r]) {
         TrackedLink& link = links[li];
         if (next <= link.session_max[si]) continue;
-        link.usage += layers_.cumulative_rate(next).bps() -
-                      layers_.cumulative_rate(link.session_max[si]).bps();
+        link.usage += rate(next) - rate(link.session_max[si]);
         link.session_max[si] = next;
       }
     }

@@ -3,10 +3,12 @@
 #include "core/optimal_allocator.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -51,6 +53,91 @@ class OptimaIndex {
   std::unordered_map<std::uint64_t, int> by_receiver_;
 };
 
+/// A description's node names resolved to ids: node i of the description is
+/// NodeId i. One flat open-addressing table (linear probing, at most half
+/// full) instead of a hash-map node per name, so resolving every link and
+/// receiver of a 100k-node description stays linear and cheap.
+class NodeIndex {
+ public:
+  explicit NodeIndex(const std::vector<std::string>& names) : names_{names} {
+    std::size_t size = 16;
+    while (size < 2 * names.size()) size *= 2;
+    slots_.assign(size, net::kInvalidNode);
+    for (net::NodeId id = 0; id < names.size(); ++id) {
+      std::size_t slot = home(names[id]);
+      while (slots_[slot] != net::kInvalidNode) slot = next(slot);
+      slots_[slot] = id;
+    }
+  }
+
+  /// The id of node `name`; throws std::invalid_argument for an unknown name.
+  [[nodiscard]] net::NodeId at(const std::string& name) const {
+    for (std::size_t slot = home(name); slots_[slot] != net::kInvalidNode; slot = next(slot)) {
+      if (names_[slots_[slot]] == name) return slots_[slot];
+    }
+    throw std::invalid_argument("unknown node '" + name + "'");
+  }
+
+ private:
+  [[nodiscard]] std::size_t home(std::string_view name) const {
+    return std::hash<std::string_view>{}(name) & (slots_.size() - 1);
+  }
+  [[nodiscard]] std::size_t next(std::size_t slot) const {
+    return (slot + 1) & (slots_.size() - 1);
+  }
+
+  const std::vector<std::string>& names_;
+  std::vector<net::NodeId> slots_;
+};
+
+/// The offline allocator's input: each source's session tree is the union of
+/// its routed source->receiver paths, the first path through a node fixing
+/// its parent. Nodes are listed in node-id order, which fixes the
+/// allocator's tie-breaking. Throws std::invalid_argument for a receiver its
+/// source cannot reach.
+std::vector<core::SessionInput> session_trees(const net::Network& netw, const NodeIndex& index,
+                                              const TopologyDescription& description) {
+  constexpr net::NodeId kOffTree = net::kInvalidNode - 1;
+  std::vector<net::NodeId> parent(netw.node_count(), kOffTree);
+  std::vector<bool> is_receiver(netw.node_count(), false);
+  std::vector<net::NodeId> on_tree;
+  std::vector<core::SessionInput> trees;
+  for (const auto& src : description.sources) {
+    core::SessionInput in;
+    in.session = src.session;
+    in.source = index.at(src.node);
+    parent[in.source] = net::kInvalidNode;
+    on_tree.assign(1, in.source);
+    for (const auto& rcv : description.receivers) {
+      if (rcv.session != src.session) continue;
+      const net::NodeId node = index.at(rcv.node);
+      const auto path = netw.routes().path(in.source, node);
+      if (path.empty()) {
+        throw std::invalid_argument("receiver '" + rcv.node + "' unreachable from source");
+      }
+      for (std::size_t i = 1; i < path.size(); ++i) {
+        if (parent[path[i]] != kOffTree) continue;
+        parent[path[i]] = path[i - 1];
+        on_tree.push_back(path[i]);
+      }
+      is_receiver[node] = true;
+    }
+    std::sort(on_tree.begin(), on_tree.end());
+    in.nodes.reserve(on_tree.size());
+    for (const net::NodeId node : on_tree) {
+      core::SessionNodeInput n;
+      n.node = node;
+      n.parent = parent[node];
+      n.is_receiver = is_receiver[node];
+      in.nodes.push_back(n);
+      parent[node] = kOffTree;  // clean for the next session
+      is_receiver[node] = false;
+    }
+    trees.push_back(std::move(in));
+  }
+  return trees;
+}
+
 }  // namespace
 
 Scenario::Scenario(const ScenarioConfig& config)
@@ -76,16 +163,6 @@ void Scenario::add_session_source(net::SessionId session, net::NodeId node) {
     cfg.train_packets = config_.traffic.burst_train;
   }
   sources_.push_back(std::make_unique<traffic::LayeredSource>(*simulation_, *network_, cfg));
-}
-
-void Scenario::add_receiver(net::NodeId node, net::SessionId session, int optimal,
-                            std::string name, sim::Time start, sim::Time stop) {
-  // The endpoint is constructed in finalize(): its report destination is the
-  // controller of whichever domain ends up owning `node`, and the partition
-  // is only resolved once the topology is complete.
-  pending_receivers_.push_back(PendingReceiver{node, session, start, stop});
-  results_.push_back(ReceiverResult{node, session, std::move(name), optimal, 0,
-                                    metrics::SubscriptionTimeline{Time::zero(), 0}, 0.0});
 }
 
 std::vector<control::Domain> Scenario::resolve_domains() const {
@@ -218,8 +295,7 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
   throw std::logic_error("unknown controller kind");
 }
 
-void Scenario::finalize() {
-  network_->compute_routes();
+void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& receivers) {
   if (config_.queues.red) {
     for (net::LinkId id = 0; id < network_->link_count(); ++id) {
       network_->link(id).enable_red({});
@@ -229,27 +305,32 @@ void Scenario::finalize() {
   const std::vector<control::Domain> domains = resolve_domains();
   const bool toposense = config_.control.kind == ControllerKind::kTopoSense;
 
-  // Each receiver reports to the controller of the domain owning its node.
-  std::unordered_map<net::NodeId, net::NodeId> controller_of;
+  // Each receiver reports to the controller of the domain owning its node, so
+  // every controller is a routing sink: one destination-rooted row answers
+  // the reports of all its receivers, however many there are.
+  std::vector<net::NodeId> controller_of(network_->node_count(), net::kInvalidNode);
   for (const control::Domain& d : domains) {
-    for (const net::NodeId n : d.nodes) controller_of.emplace(n, d.controller_node);
+    network_->add_routing_sink(d.controller_node);
+    for (const net::NodeId n : d.nodes) {
+      if (controller_of[n] == net::kInvalidNode) controller_of[n] = d.controller_node;
+    }
   }
 
-  for (std::size_t i = 0; i < pending_receivers_.size(); ++i) {
-    const PendingReceiver& pending = pending_receivers_[i];
+  for (std::size_t i = 0; i < results_.size(); ++i) {
+    const net::NodeId node = results_[i].node;
     transport::ReceiverEndpoint::Config cfg;
-    cfg.node = pending.node;
-    cfg.session = pending.session;
+    cfg.node = node;
+    cfg.session = results_[i].session;
     cfg.layers = config_.params.layers;
-    cfg.controller = toposense ? controller_of.at(pending.node) : net::kInvalidNode;
+    cfg.controller = toposense ? controller_of[node] : net::kInvalidNode;
     cfg.report_period = config_.control.report_period == Time::zero()
                             ? config_.params.interval
                             : config_.control.report_period;
     cfg.initial_subscription = config_.control.initial_subscription;
-    cfg.start = pending.start;
-    cfg.stop = pending.stop;
+    cfg.start = receivers[i].start;
+    cfg.stop = receivers[i].stop;
     endpoints_.push_back(std::make_unique<transport::ReceiverEndpoint>(
-        *simulation_, *network_, *mcast_, demuxes_->at(pending.node), cfg));
+        *simulation_, *network_, *mcast_, demuxes_->at(node), cfg));
     endpoints_.back()->on_subscription_change([this, i](Time when, int /*old*/, int now_level) {
       results_[i].timeline.record(when, now_level);
     });
@@ -294,7 +375,7 @@ void Scenario::finalize() {
         });
       });
     }
-    // receiver_agents_ is built one per receiver, in add_receiver order, so
+    // receiver_agents_ is built one per receiver, in description order, so
     // it is index-parallel with results_.
     for (std::size_t i = 0; i < receiver_agents_.size() && i < results_.size(); ++i) {
       control::ReceiverAgent& agent = *receiver_agents_[i];
@@ -328,21 +409,9 @@ void Scenario::finalize() {
   }
 
   for (const auto& source : sources_) source->start();
-  if (fluid_engine_) {
-    // Cross-traffic competes for fluid capacity as a constant-rate background
-    // flow instead of a packet train (the packet flow objects stay unstarted).
-    for (const auto& flow : cross_flows_) {
-      const traffic::CbrFlow::Config& c = flow->config();
-      fluid_engine_->add_background_flow(c.src, c.dst, units::BitsPerSec{c.rate_bps}, c.start,
-                                         c.stop);
-    }
-    fluid_engine_->start();
-  } else {
-    for (const auto& flow : cross_flows_) flow->start();
-  }
+  if (fluid_engine_) fluid_engine_->start();
   for (const auto& endpoint : endpoints_) endpoint->start();
   domain_manager_->start_receiver_policies();
-  started_ = true;
 }
 
 control::ControllerAgent* Scenario::controller() {
@@ -388,6 +457,13 @@ void Scenario::add_cross_traffic(const CrossTrafficSpec& spec) {
                                 (src == net::kInvalidNode ? spec.src : spec.dst) +
                                 "' is not a node of this topology");
   }
+  if (fluid_engine_) {
+    // Under the fluid engine the flow competes for capacity as a constant-rate
+    // background flow instead of a packet train.
+    fluid_engine_->add_background_flow(src, dst, units::BitsPerSec{spec.rate_bps}, spec.start,
+                                       spec.stop);
+    return;
+  }
   traffic::CbrFlow::Config xcfg;
   xcfg.src = src;
   xcfg.dst = dst;
@@ -395,234 +471,7 @@ void Scenario::add_cross_traffic(const CrossTrafficSpec& spec) {
   xcfg.start = spec.start;
   xcfg.stop = spec.stop;
   cross_flows_.push_back(std::make_unique<traffic::CbrFlow>(*simulation_, *network_, xcfg));
-  if (!started_) return;
-  if (fluid_engine_) {
-    fluid_engine_->add_background_flow(src, dst, units::BitsPerSec{spec.rate_bps}, spec.start,
-                                       spec.stop);
-  } else {
-    cross_flows_.back()->start();
-  }
-}
-
-std::unique_ptr<Scenario> Scenario::build_topology_a(const ScenarioConfig& config,
-                                                     const TopologyAOptions& options) {
-  std::unique_ptr<Scenario> s{new Scenario{config}};
-  net::Network& netw = *s->network_;
-
-  const net::NodeId source = netw.add_node("source");
-  const net::NodeId r0 = netw.add_node("r0");
-  const net::NodeId r1 = netw.add_node("r1");
-  const net::NodeId r2 = netw.add_node("r2");
-  netw.add_duplex_link(source, r0, units::BitsPerSec{options.backbone_bps}, config.link_latency,
-                       queue_limit_for(config, options.backbone_bps));
-  netw.add_duplex_link(r0, r1, units::BitsPerSec{options.bottleneck1_bps}, config.link_latency,
-                       queue_limit_for(config, options.bottleneck1_bps));
-  netw.add_duplex_link(r0, r2, units::BitsPerSec{options.bottleneck2_bps}, config.link_latency,
-                       queue_limit_for(config, options.bottleneck2_bps));
-
-  s->controller_node_ = source;
-  s->add_session_source(0, source);
-
-  const int optimal1 =
-      config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{options.bottleneck1_bps});
-  const int optimal2 =
-      config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{options.bottleneck2_bps});
-
-  const int leavers = static_cast<int>(
-      std::ceil(options.leave_fraction * options.receivers_per_set));
-  const auto window_for = [&](int i) {
-    const Time start = options.join_stagger * i;
-    const bool leaves = options.leave_at > Time::zero() &&
-                        i >= options.receivers_per_set - leavers;
-    return std::pair{start, leaves ? options.leave_at : Time::max()};
-  };
-
-  for (int i = 0; i < options.receivers_per_set; ++i) {
-    const net::NodeId rcv = netw.add_node("set1_recv" + std::to_string(i));
-    netw.add_duplex_link(r1, rcv, units::BitsPerSec{options.access_bps}, config.link_latency,
-                         queue_limit_for(config, options.access_bps));
-    const auto [start, stop] = window_for(i);
-    s->add_receiver(rcv, 0, optimal1, "set1/" + std::to_string(i), start, stop);
-  }
-  for (int i = 0; i < options.receivers_per_set; ++i) {
-    const net::NodeId rcv = netw.add_node("set2_recv" + std::to_string(i));
-    netw.add_duplex_link(r2, rcv, units::BitsPerSec{options.access_bps}, config.link_latency,
-                         queue_limit_for(config, options.access_bps));
-    const auto [start, stop] = window_for(i);
-    s->add_receiver(rcv, 0, optimal2, "set2/" + std::to_string(i), start, stop);
-  }
-
-  if (options.cross_traffic_bps > 0.0) {
-    traffic::CbrFlow::Config xcfg;
-    xcfg.src = r0;
-    xcfg.dst = r1;
-    xcfg.rate_bps = options.cross_traffic_bps;
-    xcfg.start = options.cross_start;
-    xcfg.stop = options.cross_stop;
-    s->cross_flows_.push_back(
-        std::make_unique<traffic::CbrFlow>(*s->simulation_, netw, xcfg));
-  }
-
-  s->finalize();
-  return s;
-}
-
-std::unique_ptr<Scenario> Scenario::build_topology_b(const ScenarioConfig& config,
-                                                     const TopologyBOptions& options) {
-  std::unique_ptr<Scenario> s{new Scenario{config}};
-  net::Network& netw = *s->network_;
-
-  const net::NodeId ra = netw.add_node("ra");
-  const net::NodeId rb = netw.add_node("rb");
-  const double shared_bps = options.per_session_bps * options.sessions;
-  netw.add_duplex_link(ra, rb, units::BitsPerSec{shared_bps}, config.link_latency,
-                       queue_limit_for(config, shared_bps));
-
-  const int optimal = config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{options.per_session_bps});
-
-  std::vector<net::NodeId> source_nodes;
-  for (int k = 0; k < options.sessions; ++k) {
-    const net::NodeId src = netw.add_node("source" + std::to_string(k));
-    netw.add_duplex_link(src, ra, units::BitsPerSec{options.access_bps}, config.link_latency,
-                         queue_limit_for(config, options.access_bps));
-    source_nodes.push_back(src);
-    s->add_session_source(static_cast<net::SessionId>(k), src);
-  }
-  // "The controller agent was stationed at one of the source nodes."
-  s->controller_node_ = source_nodes.front();
-
-  for (int k = 0; k < options.sessions; ++k) {
-    const net::NodeId rcv = netw.add_node("recv" + std::to_string(k));
-    netw.add_duplex_link(rb, rcv, units::BitsPerSec{options.access_bps}, config.link_latency,
-                         queue_limit_for(config, options.access_bps));
-    s->add_receiver(rcv, static_cast<net::SessionId>(k), optimal,
-                    "session" + std::to_string(k), options.session_stagger * k);
-  }
-
-  if (options.cross_traffic_bps > 0.0) {
-    traffic::CbrFlow::Config xcfg;
-    xcfg.src = ra;
-    xcfg.dst = rb;
-    xcfg.rate_bps = options.cross_traffic_bps;
-    xcfg.start = options.cross_start;
-    xcfg.stop = options.cross_stop;
-    s->cross_flows_.push_back(
-        std::make_unique<traffic::CbrFlow>(*s->simulation_, netw, xcfg));
-  }
-
-  s->finalize();
-  return s;
-}
-
-
-std::unique_ptr<Scenario> Scenario::build_tiered(const ScenarioConfig& config,
-                                                 const TieredOptions& options) {
-  std::unique_ptr<Scenario> s{new Scenario{config}};
-  net::Network& netw = *s->network_;
-  sim::Rng rng = s->simulation_->rng_stream("tiered-topology");
-
-  // Physical tree, remembering each link's true capacity for the offline
-  // optimal computation (TopoSense never sees these numbers).
-  std::unordered_map<core::LinkKey, units::BitsPerSec> capacities;
-  const net::NodeId source = netw.add_node("source");
-  const net::NodeId national = netw.add_node("national");
-  netw.add_duplex_link(source, national, units::BitsPerSec{options.backbone_bps}, config.link_latency,
-                       queue_limit_for(config, options.backbone_bps));
-  capacities[core::LinkKey{source, national}] = units::BitsPerSec{options.backbone_bps};
-
-  struct PendingTierReceiver {
-    net::NodeId node;
-    net::NodeId parent;
-  };
-  std::vector<PendingTierReceiver> receivers;
-  std::vector<core::SessionNodeInput> tree_nodes;
-  {
-    core::SessionNodeInput n;
-    n.node = source;
-    n.parent = net::kInvalidNode;
-    tree_nodes.push_back(n);
-    n.node = national;
-    n.parent = source;
-    tree_nodes.push_back(n);
-  }
-
-  auto add_tier_node = [&](const std::string& name, net::NodeId parent, double bps) {
-    const net::NodeId id = netw.add_node(name);
-    netw.add_duplex_link(parent, id, units::BitsPerSec{bps}, config.link_latency,
-                         queue_limit_for(config, bps));
-    capacities[core::LinkKey{parent, id}] = units::BitsPerSec{bps};
-    core::SessionNodeInput n;
-    n.node = id;
-    n.parent = parent;
-    tree_nodes.push_back(n);
-    return id;
-  };
-
-  for (int r = 0; r < options.regionals; ++r) {
-    const net::NodeId regional =
-        add_tier_node("regional" + std::to_string(r), national,
-                      rng.uniform(options.regional_min_bps, options.regional_max_bps));
-    for (int l = 0; l < options.locals_per_regional; ++l) {
-      const net::NodeId local = add_tier_node(
-          "local" + std::to_string(r) + "_" + std::to_string(l), regional,
-          rng.uniform(options.local_min_bps, options.local_max_bps));
-      for (int i = 0; i < options.receivers_per_local; ++i) {
-        const net::NodeId rcv = add_tier_node(
-            "recv" + std::to_string(r) + "_" + std::to_string(l) + "_" + std::to_string(i),
-            local, rng.uniform(options.access_min_bps, options.access_max_bps));
-        tree_nodes.back().is_receiver = true;
-        receivers.push_back(PendingTierReceiver{rcv, local});
-      }
-    }
-  }
-
-  s->controller_node_ = source;
-  s->add_session_source(0, source);
-
-  // Offline reference: greedy lexicographic max-min on the true capacities.
-  core::SessionInput session;
-  session.session = 0;
-  session.source = source;
-  session.nodes = tree_nodes;
-  const core::OptimalAllocator allocator{config.params.layers, capacities};
-  const OptimaIndex optima{allocator.allocate({session})};
-
-  for (const PendingTierReceiver& r : receivers) {
-    s->add_receiver(r.node, 0, optima.of(0, r.node), netw.node(r.node).name);
-  }
-
-  s->finalize();
-  return s;
-}
-
-
-std::unique_ptr<Scenario> Scenario::build_star(const ScenarioConfig& config,
-                                               const StarOptions& options) {
-  std::unique_ptr<Scenario> s{new Scenario{config}};
-  net::Network& netw = *s->network_;
-
-  const net::NodeId source = netw.add_node("source");
-  const net::NodeId hub = netw.add_node("hub");
-  netw.add_duplex_link(source, hub, units::BitsPerSec{options.backbone_bps}, config.link_latency,
-                       queue_limit_for(config, options.backbone_bps));
-
-  s->controller_node_ = source;
-  s->add_session_source(0, source);
-  // N receivers all report to the controller: answer their unicast routes
-  // from one destination-rooted row (see StarOptions).
-  netw.add_routing_sink(source);
-
-  const int optimal =
-      config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{options.access_bps});
-  for (int i = 0; i < options.receivers; ++i) {
-    const net::NodeId rcv = netw.add_node("recv" + std::to_string(i));
-    netw.add_duplex_link(hub, rcv, units::BitsPerSec{options.access_bps}, config.link_latency,
-                         queue_limit_for(config, options.access_bps));
-    s->add_receiver(rcv, 0, optimal, "star/" + std::to_string(i));
-  }
-
-  s->finalize();
-  return s;
+  cross_flows_.back()->start();
 }
 
 std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& config,
@@ -649,103 +498,83 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
   }
   if (description.burst_train) s->config_.traffic.burst_train = *description.burst_train;
 
-  std::unordered_map<std::string, net::NodeId> by_name;
-  for (const std::string& name : description.nodes) {
-    by_name[name] = netw.add_node(name);
-  }
+  for (const std::string& name : description.nodes) netw.add_node(name);
+  const NodeIndex index{description.nodes};
 
+  // The declared (true) capacities feed the offline allocator, which only
+  // runs when some receiver has no known optimum.
+  const bool allocate =
+      std::any_of(description.receivers.begin(), description.receivers.end(),
+                  [](const TopologyDescription::ReceiverSpec& r) { return !r.optimal; });
   std::unordered_map<core::LinkKey, units::BitsPerSec> capacities;
   for (const auto& link : description.links) {
-    const net::NodeId a = by_name.at(link.a);
-    const net::NodeId b = by_name.at(link.b);
+    const net::NodeId a = index.at(link.a);
+    const net::NodeId b = index.at(link.b);
     const std::size_t queue =
         link.queue_packets.value_or(queue_limit_for(config, link.bandwidth.bps()));
     const auto [ab, ba] = netw.add_duplex_link(a, b, link.bandwidth, link.latency, queue);
-    if (link.red || config.queues.red) {
+    if (link.red) {  // config.queues.red is finalize()'s
       netw.link(ab).enable_red({});
       netw.link(ba).enable_red({});
     }
-    capacities[core::LinkKey{a, b}] = link.bandwidth;
-    capacities[core::LinkKey{b, a}] = link.bandwidth;
+    if (allocate) {
+      capacities[core::LinkKey{a, b}] = link.bandwidth;
+      capacities[core::LinkKey{b, a}] = link.bandwidth;
+    }
   }
   netw.compute_routes();
 
-  s->controller_node_ = by_name.at(description.controller_node);
+  s->controller_node_ = index.at(description.controller_node);
 
   // Declared routing domains: each `domain` line is a child of the implicit
   // root domain around the controller node; the root owns every node no
-  // domain claimed (iterated in declaration order — determinism).
+  // domain claimed (in node order — determinism).
   if (!description.domains.empty()) {
-    std::unordered_set<net::NodeId> owned;
-    std::vector<control::Domain> child_domains;
+    std::vector<bool> owned(netw.node_count(), false);
+    control::Domain root;
+    root.name = "core";
+    root.controller_node = s->controller_node_;
+    root.parent = -1;
+    s->declared_domains_.push_back(std::move(root));
     for (const auto& spec : description.domains) {
       control::Domain child;
       child.name = spec.name;
       child.parent = 0;
       for (const std::string& name : spec.nodes) {
-        const net::NodeId id = by_name.at(name);
+        const net::NodeId id = index.at(name);
         child.nodes.push_back(id);
-        owned.insert(id);
+        owned[id] = true;
       }
       child.controller_node = child.nodes.front();
-      child_domains.push_back(std::move(child));
+      s->declared_domains_.push_back(std::move(child));
     }
-    control::Domain root;
-    root.name = "core";
-    root.controller_node = s->controller_node_;
-    root.parent = -1;
-    for (const std::string& name : description.nodes) {
-      const net::NodeId id = by_name.at(name);
-      if (owned.count(id) == 0) root.nodes.push_back(id);
+    for (net::NodeId id = 0; id < netw.node_count(); ++id) {
+      if (!owned[id]) s->declared_domains_.front().nodes.push_back(id);
     }
-    s->declared_domains_.push_back(std::move(root));
-    for (auto& child : child_domains) s->declared_domains_.push_back(std::move(child));
   }
 
   for (const auto& src : description.sources) {
-    s->add_session_source(src.session, by_name.at(src.node));
+    s->add_session_source(src.session, index.at(src.node));
   }
 
-  // Offline optima from the declared (true) capacities: build each session's
-  // tree as the union of routed source->receiver paths.
-  std::vector<core::SessionInput> session_inputs;
-  for (const auto& src : description.sources) {
-    core::SessionInput in;
-    in.session = src.session;
-    in.source = by_name.at(src.node);
-    // Ordered map: iteration below fixes the allocator's node (and thus
-    // tie-breaking) order, which must not depend on hash layout.
-    std::map<net::NodeId, net::NodeId> parent_of;
-    parent_of[in.source] = net::kInvalidNode;
-    std::set<net::NodeId> receiver_nodes;
-    for (const auto& rcv : description.receivers) {
-      if (rcv.session != src.session) continue;
-      const auto path = netw.routes().path(in.source, by_name.at(rcv.node));
-      if (path.empty()) {
-        throw std::invalid_argument("receiver '" + rcv.node + "' unreachable from source");
-      }
-      for (std::size_t i = 1; i < path.size(); ++i) parent_of.emplace(path[i], path[i - 1]);
-      receiver_nodes.insert(by_name.at(rcv.node));
-    }
-    for (const auto& [node, parent] : parent_of) {
-      core::SessionNodeInput n;
-      n.node = node;
-      n.parent = parent;
-      n.is_receiver = receiver_nodes.count(node) != 0;
-      in.nodes.push_back(n);
-    }
-    session_inputs.push_back(std::move(in));
+  std::optional<OptimaIndex> optima;
+  if (allocate) {
+    const core::OptimalAllocator allocator{config.params.layers, std::move(capacities)};
+    optima.emplace(allocator.allocate(session_trees(netw, index, description)));
   }
-  const core::OptimalAllocator allocator{config.params.layers, capacities};
-  const OptimaIndex optima{allocator.allocate(session_inputs)};
-
+  // Each receiver's endpoint is constructed in finalize(): it reports to the
+  // controller of whichever domain owns its node.
+  s->results_.reserve(description.receivers.size());
   for (const auto& rcv : description.receivers) {
-    const net::NodeId node = by_name.at(rcv.node);
-    s->add_receiver(node, rcv.session, optima.of(rcv.session, node),
-                    rcv.node + "/s" + std::to_string(rcv.session), rcv.start, rcv.stop);
+    const net::NodeId node = index.at(rcv.node);
+    s->results_.push_back(ReceiverResult{
+        node, rcv.session,
+        rcv.name.empty() ? rcv.node + "/s" + std::to_string(rcv.session) : rcv.name,
+        rcv.optimal ? *rcv.optimal : optima->of(rcv.session, node), 0,
+        metrics::SubscriptionTimeline{Time::zero(), 0}, 0.0});
   }
 
-  s->finalize();
+  s->finalize(description.receivers);
   if (!description.faults.events().empty()) s->install_faults(description.faults);
   return s;
 }

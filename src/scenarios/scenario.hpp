@@ -130,12 +130,6 @@ struct TopologyAOptions {
   sim::Time join_stagger{sim::Time::zero()};
   double leave_fraction{0.0};
   sim::Time leave_at{sim::Time::zero()};
-
-  /// Optional non-conforming unicast CBR cross-flow across bottleneck 1
-  /// (source-side router to set-1 hub) active in [cross_start, cross_stop).
-  double cross_traffic_bps{0.0};
-  sim::Time cross_start{sim::Time::zero()};
-  sim::Time cross_stop{sim::Time::max()};
 };
 
 /// Topology B (Fig 5): n independent single-receiver sessions sharing one
@@ -151,11 +145,6 @@ struct TopologyBOptions {
   /// Session k starts at k * session_stagger (the paper starts all sessions
   /// together; staggering is the late-joiner fairness ablation).
   sim::Time session_stagger{sim::Time::zero()};
-
-  /// Optional unicast CBR cross-flow across the shared link.
-  double cross_traffic_bps{0.0};
-  sim::Time cross_start{sim::Time::zero()};
-  sim::Time cross_stop{sim::Time::max()};
 };
 
 /// Tiered Internet topology (Fig 2): a source at a national ISP, a random
@@ -179,8 +168,8 @@ struct TieredOptions {
 /// Star scale topology: one source behind a fat backbone, N receivers on
 /// identical access links off a single hub. The shape the fluid engine is
 /// built for — one shared bottleneck class, very high receiver count. Reports
-/// from all N receivers converge on the controller (at the source), so the
-/// factory registers the controller as a routing sink: one destination-rooted
+/// from all N receivers converge on the controller (at the source), which,
+/// like every domain controller, is a routing sink: one destination-rooted
 /// row answers every receiver->controller route instead of N source-rooted
 /// tables (16 bytes * N per row would be ~160 GB at N = 100k).
 struct StarOptions {
@@ -192,8 +181,8 @@ struct StarOptions {
 };
 
 /// A unicast CBR cross-flow between two named nodes, active in
-/// [start, stop). Named endpoints make specs portable across topology
-/// factories and topology files.
+/// [start, stop). Named endpoints make specs portable across the built-in
+/// topologies and topology files.
 struct CrossTrafficSpec {
   std::string src;
   std::string dst;
@@ -214,7 +203,7 @@ struct ReceiverResult {
 };
 
 /// A fully wired simulation: network, multicast, sources, receivers, agents,
-/// controller and metrics. Construction order is fixed by the factories;
+/// controller and metrics. Construction order is fixed by from_description;
 /// everything lives exactly as long as the Scenario.
 ///
 /// The adaptation control plane is always a control::DomainManager — a
@@ -223,10 +212,13 @@ struct ReceiverResult {
 /// config.domains.auto_partition asks for a split).
 class Scenario {
  public:
-  /// Builds a scenario from a parsed topology file (see topology_file.hpp).
-  /// Per-receiver optima come from the offline allocator on the declared
-  /// capacities; `fault` lines in the file are installed automatically.
-  /// Throws std::invalid_argument on unreachable receivers.
+  /// Builds a scenario from a topology description (see topology_file.hpp):
+  /// a parsed file, or one ScenarioBuilder generated for a built-in topology.
+  /// Node i of the description is NodeId i and links keep their order. A
+  /// receiver's optimum is its `optimal` when set, else the offline
+  /// allocator's on the declared capacities; `fault` lines are installed
+  /// automatically. Throws std::invalid_argument on unknown node names and
+  /// unreachable receivers.
   static std::unique_ptr<Scenario> from_description(const ScenarioConfig& config,
                                                     const TopologyDescription& description);
 
@@ -245,7 +237,8 @@ class Scenario {
   /// Controller outage events require ControllerKind::kTopoSense.
   fault::FaultInjector& install_faults(const fault::FaultPlan& plan);
 
-  /// Adds (and starts) a unicast CBR cross-flow between two named nodes.
+  /// Adds and starts a unicast CBR cross-flow between two named nodes (a
+  /// constant-rate background flow under the fluid engine).
   void add_cross_traffic(const CrossTrafficSpec& spec);
 
   [[nodiscard]] const std::vector<ReceiverResult>& results() const { return results_; }
@@ -296,31 +289,13 @@ class Scenario {
   [[nodiscard]] const ReceiverResult& result(std::size_t i) const { return results_[i]; }
 
  private:
-  friend class ScenarioBuilder;
-
   explicit Scenario(const ScenarioConfig& config);
-
-  /// Factory bodies behind ScenarioBuilder::build().
-  static std::unique_ptr<Scenario> build_topology_a(const ScenarioConfig& config,
-                                                    const TopologyAOptions& options);
-  static std::unique_ptr<Scenario> build_topology_b(const ScenarioConfig& config,
-                                                    const TopologyBOptions& options);
-  static std::unique_ptr<Scenario> build_tiered(const ScenarioConfig& config,
-                                                const TieredOptions& options);
-  static std::unique_ptr<Scenario> build_star(const ScenarioConfig& config,
-                                              const StarOptions& options);
 
   /// Makes `node` the source of `session`: registers it with the multicast
   /// router and creates its traffic source on whichever engine the config
   /// selects (packet, fluid or burst). finalize() starts it.
   void add_session_source(net::SessionId session, net::NodeId node);
 
-  /// Records one receiver (endpoint + policy agent + metrics) at `node`,
-  /// active in [start, stop). The endpoint itself is constructed in
-  /// finalize(), once the domain partition (and with it the receiver's
-  /// controller node) is known.
-  void add_receiver(net::NodeId node, net::SessionId session, int optimal, std::string name,
-                    sim::Time start = sim::Time::zero(), sim::Time stop = sim::Time::max());
   /// Resolves the domain partition: declared domains when the topology file
   /// had `domain` lines, else the automatic partitioner when
   /// config.domains.auto_partition > 1, else one root domain over everything.
@@ -329,7 +304,11 @@ class Scenario {
   [[nodiscard]] std::unique_ptr<control::AdaptationController> make_scheme(
       std::size_t index, const control::Domain& domain,
       const std::vector<control::Domain>& all);
-  void finalize();  ///< wires controller/discovery and starts everything
+  /// Builds the endpoints of results() (active in their `receivers` spec's
+  /// window), wires controllers and discovery, registers every domain's
+  /// controller as a routing sink and starts everything. Routes are computed
+  /// already.
+  void finalize(const std::vector<TopologyDescription::ReceiverSpec>& receivers);
 
   ScenarioConfig config_;
   std::unique_ptr<sim::Simulation> simulation_;
@@ -337,8 +316,9 @@ class Scenario {
   std::unique_ptr<mcast::MulticastRouter> mcast_;
   std::unique_ptr<transport::DemuxRegistry> demuxes_;
   net::NodeId controller_node_{net::kInvalidNode};
-  /// Domains declared by the topology description (empty for the factories;
-  /// resolve_domains() falls back to the auto partitioner / single root).
+  /// Domains declared by the topology description (empty without `domain`
+  /// lines; resolve_domains() falls back to the auto partitioner / single
+  /// root).
   std::vector<control::Domain> declared_domains_;
   std::vector<std::unique_ptr<traffic::LayeredSource>> sources_;
   std::vector<std::unique_ptr<traffic::FluidSource>> fluid_sources_;
@@ -352,13 +332,6 @@ class Scenario {
   std::unique_ptr<traffic::FluidEngine> fluid_engine_;
   std::vector<std::unique_ptr<traffic::CbrFlow>> cross_flows_;
   std::vector<std::unique_ptr<fault::FaultInjector>> fault_injectors_;
-  struct PendingReceiver {
-    net::NodeId node{net::kInvalidNode};
-    net::SessionId session{0};
-    sim::Time start{sim::Time::zero()};
-    sim::Time stop{sim::Time::max()};
-  };
-  std::vector<PendingReceiver> pending_receivers_;
   std::vector<std::unique_ptr<transport::ReceiverEndpoint>> endpoints_;
   std::vector<control::ReceiverAgent*> receiver_agents_;  ///< owned by domain schemes
   /// Declared after endpoints_: the schemes' watchdog agents reference the
@@ -370,7 +343,6 @@ class Scenario {
   /// events run during destruction).
   std::unique_ptr<check::InvariantAuditor> auditor_;
   std::vector<ReceiverResult> results_;
-  bool started_{false};
 };
 
 }  // namespace tsim::scenarios

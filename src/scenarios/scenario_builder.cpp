@@ -1,9 +1,137 @@
 #include "scenarios/scenario_builder.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "sim/random.hpp"
+
 namespace tsim::scenarios {
+
+namespace {
+
+using sim::Time;
+
+/// Writes a built-in topology as a description: nodes and links in the order
+/// the network numbers them, links at the config's latency with the default
+/// bandwidth-delay-product queue.
+struct Writer {
+  const ScenarioConfig& config;
+  TopologyDescription d{};
+
+  void link(const std::string& a, const std::string& b, double bps) {
+    d.links.push_back({.a = a, .b = b, .bandwidth = units::BitsPerSec{bps},
+                       .latency = config.link_latency});
+  }
+  /// Adds node `name` and its link to `parent`.
+  void child(const std::string& parent, const std::string& name, double bps) {
+    d.nodes.push_back(name);
+    link(parent, name, bps);
+  }
+  void source(int session, const std::string& node) {
+    d.sources.push_back({.session = static_cast<std::uint16_t>(session), .node = node});
+  }
+  void receiver(const std::string& node, int session, std::string name,
+                std::optional<int> optimal, Time start = Time::zero()) {
+    d.receivers.push_back({.node = node, .session = static_cast<std::uint16_t>(session),
+                           .start = start, .name = std::move(name), .optimal = optimal});
+  }
+  /// The closed-form optimum behind a bottleneck of `bps`.
+  [[nodiscard]] int optimal_for(double bps) const {
+    return config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{bps});
+  }
+};
+
+TopologyDescription describe(const ScenarioConfig& config, const TopologyAOptions& options) {
+  Writer w{config};
+  w.d.nodes = {"source", "r0", "r1", "r2"};
+  w.link("source", "r0", options.backbone_bps);
+  w.link("r0", "r1", options.bottleneck1_bps);
+  w.link("r0", "r2", options.bottleneck2_bps);
+  w.source(0, "source");
+  const int n = options.receivers_per_set;
+  const int leavers = static_cast<int>(std::ceil(options.leave_fraction * n));
+  for (int set = 1; set <= 2; ++set) {
+    const std::string prefix = "set" + std::to_string(set);
+    const int optimal =
+        w.optimal_for(set == 1 ? options.bottleneck1_bps : options.bottleneck2_bps);
+    for (int i = 0; i < n; ++i) {
+      const std::string node = prefix + "_recv" + std::to_string(i);
+      w.child(set == 1 ? "r1" : "r2", node, options.access_bps);
+      w.receiver(node, 0, prefix + "/" + std::to_string(i), optimal, options.join_stagger * i);
+      if (options.leave_at > Time::zero() && i >= n - leavers) {
+        w.d.receivers.back().stop = options.leave_at;
+      }
+    }
+  }
+  w.d.controller_node = "source";
+  return std::move(w.d);
+}
+
+TopologyDescription describe(const ScenarioConfig& config, const TopologyBOptions& options) {
+  Writer w{config};
+  w.d.nodes = {"ra", "rb"};
+  w.link("ra", "rb", options.per_session_bps * options.sessions);
+  for (int k = 0; k < options.sessions; ++k) {
+    const std::string source = "source" + std::to_string(k);
+    w.d.nodes.push_back(source);
+    w.link(source, "ra", options.access_bps);
+    w.source(k, source);
+  }
+  const int optimal = w.optimal_for(options.per_session_bps);
+  for (int k = 0; k < options.sessions; ++k) {
+    const std::string node = "recv" + std::to_string(k);
+    w.child("rb", node, options.access_bps);
+    w.receiver(node, k, "session" + std::to_string(k), optimal, options.session_stagger * k);
+  }
+  // "The controller agent was stationed at one of the source nodes."
+  w.d.controller_node = "source0";
+  return std::move(w.d);
+}
+
+TopologyDescription describe(const ScenarioConfig& config, const TieredOptions& options) {
+  sim::Rng rng = sim::Rng{config.seed}.fork("tiered-topology");
+  Writer w{config};
+  w.d.nodes = {"source"};
+  w.child("source", "national", options.backbone_bps);
+  w.source(0, "source");
+  for (int r = 0; r < options.regionals; ++r) {
+    const std::string regional = "regional" + std::to_string(r);
+    w.child("national", regional,
+            rng.uniform(options.regional_min_bps, options.regional_max_bps));
+    for (int l = 0; l < options.locals_per_regional; ++l) {
+      const std::string local = "local" + std::to_string(r) + "_" + std::to_string(l);
+      w.child(regional, local, rng.uniform(options.local_min_bps, options.local_max_bps));
+      for (int i = 0; i < options.receivers_per_local; ++i) {
+        const std::string node =
+            "recv" + std::to_string(r) + "_" + std::to_string(l) + "_" + std::to_string(i);
+        w.child(local, node, rng.uniform(options.access_min_bps, options.access_max_bps));
+        w.receiver(node, 0, node, std::nullopt);  // the allocator's optimum
+      }
+    }
+  }
+  w.d.controller_node = "source";
+  return std::move(w.d);
+}
+
+TopologyDescription describe(const ScenarioConfig& config, const StarOptions& options) {
+  Writer w{config};
+  w.d.nodes = {"source"};
+  w.child("source", "hub", options.backbone_bps);
+  w.source(0, "source");
+  const int optimal = w.optimal_for(options.access_bps);
+  for (int i = 0; i < options.receivers; ++i) {
+    const std::string node = "recv" + std::to_string(i);
+    w.child("hub", node, options.access_bps);
+    w.receiver(node, 0, "star/" + std::to_string(i), optimal);
+  }
+  w.d.controller_node = "source";
+  return std::move(w.d);
+}
+
+}  // namespace
 
 void ScenarioBuilder::select(const char* what) {
   if (selected_ != nullptr) {
@@ -15,25 +143,25 @@ void ScenarioBuilder::select(const char* what) {
 
 ScenarioBuilder& ScenarioBuilder::topology_a(const TopologyAOptions& options) {
   select("topology_a");
-  topo_a_ = options;
+  description_ = describe(config_, options);
   return *this;
 }
 
 ScenarioBuilder& ScenarioBuilder::topology_b(const TopologyBOptions& options) {
   select("topology_b");
-  topo_b_ = options;
+  description_ = describe(config_, options);
   return *this;
 }
 
 ScenarioBuilder& ScenarioBuilder::tiered(const TieredOptions& options) {
   select("tiered");
-  tiered_ = options;
+  description_ = describe(config_, options);
   return *this;
 }
 
 ScenarioBuilder& ScenarioBuilder::star(const StarOptions& options) {
   select("star");
-  star_ = options;
+  description_ = describe(config_, options);
   return *this;
 }
 
@@ -60,22 +188,12 @@ ScenarioBuilder& ScenarioBuilder::with_cross_traffic(const CrossTrafficSpec& spe
 }
 
 std::unique_ptr<Scenario> ScenarioBuilder::build() {
-  std::unique_ptr<Scenario> scenario;
-  if (topo_a_) {
-    scenario = Scenario::build_topology_a(config_, *topo_a_);
-  } else if (topo_b_) {
-    scenario = Scenario::build_topology_b(config_, *topo_b_);
-  } else if (tiered_) {
-    scenario = Scenario::build_tiered(config_, *tiered_);
-  } else if (star_) {
-    scenario = Scenario::build_star(config_, *star_);
-  } else if (description_) {
-    scenario = Scenario::from_description(config_, *description_);
-  } else {
+  if (selected_ == nullptr) {
     throw std::logic_error(
-        "ScenarioBuilder: no topology selected — call topology_a/topology_b/tiered/"
+        "ScenarioBuilder: no topology selected — call topology_a/topology_b/tiered/star/"
         "topology(...) before build()");
   }
+  std::unique_ptr<Scenario> scenario = Scenario::from_description(config_, description_);
   for (const CrossTrafficSpec& spec : cross_traffic_) scenario->add_cross_traffic(spec);
   for (const fault::FaultPlan& plan : fault_plans_) scenario->install_faults(plan);
   return scenario;

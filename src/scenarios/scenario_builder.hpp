@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,8 +22,13 @@ namespace tsim::scenarios {
 /// `config.audit` turns on invariant auditing); the builder only picks the
 /// topology and the extras below.
 ///
-/// Exactly one topology_* / topology() call selects the network shape;
-/// build() throws std::logic_error if none (or more than one) was chosen.
+/// Exactly one topology_a / topology_b / tiered / star / topology() /
+/// topology_file() call selects the network shape; build() throws
+/// std::logic_error if none (or more than one) was chosen. Every one of them
+/// fills the builder's single TopologyDescription (the built-in topologies
+/// generate theirs from their options, with their result labels and, for A,
+/// B and the star, closed-form optima), so every scenario is built by
+/// Scenario::from_description.
 /// Faults declared in a topology file and faults added via with_faults()
 /// compose: file faults are installed first, builder faults after.
 class ScenarioBuilder {
@@ -35,6 +39,8 @@ class ScenarioBuilder {
   /// --- topology selection (exactly one) -----------------------------------
   ScenarioBuilder& topology_a(const TopologyAOptions& options = {});
   ScenarioBuilder& topology_b(const TopologyBOptions& options = {});
+  /// Link capacities are drawn from the config seed's "tiered-topology"
+  /// stream.
   ScenarioBuilder& tiered(const TieredOptions& options = {});
   /// Scale star: one source, one hub, N identical access links (the fluid
   /// engine's 100k-receiver tier; works with any traffic engine).
@@ -50,21 +56,19 @@ class ScenarioBuilder {
   ScenarioBuilder& with_faults(const fault::FaultPlan& plan);
   ScenarioBuilder& with_cross_traffic(const CrossTrafficSpec& spec);
 
-  /// Builds, wires and starts the scenario. Throws std::logic_error when no
-  /// topology was selected, plus whatever the underlying factory throws
+  /// Builds, wires and starts the scenario; cross traffic and fault plans are
+  /// added to the running scenario, in call order. Throws std::logic_error
+  /// when no topology was selected, plus whatever from_description throws
   /// (unknown fault link names, unreachable receivers, ...).
   [[nodiscard]] std::unique_ptr<Scenario> build();
 
  private:
+  /// Records `what` as the selected topology; throws if one already is.
   void select(const char* what);
 
   ScenarioConfig config_{};
   const char* selected_{nullptr};
-  std::optional<TopologyAOptions> topo_a_;
-  std::optional<TopologyBOptions> topo_b_;
-  std::optional<TieredOptions> tiered_;
-  std::optional<StarOptions> star_;
-  std::optional<TopologyDescription> description_;
+  TopologyDescription description_;
   std::vector<fault::FaultPlan> fault_plans_;
   std::vector<CrossTrafficSpec> cross_traffic_;
 };

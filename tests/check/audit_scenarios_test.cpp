@@ -145,11 +145,10 @@ TEST(AuditFaultTest, SuggestionDrops) {
 }
 
 TEST(AuditFaultTest, CrossTrafficBurst) {
-  TopologyAOptions opt;
-  opt.cross_traffic_bps = 200e3;
-  opt.cross_start = 30_s;
-  opt.cross_stop = 60_s;
-  run_audited(ScenarioBuilder(audited_config(27, 120_s)).topology_a(opt).build());
+  run_audited(ScenarioBuilder(audited_config(27, 120_s))
+                  .topology_a({})
+                  .with_cross_traffic({"r0", "r1", 200e3, 30_s, 60_s})
+                  .build());
 }
 
 }  // namespace

@@ -83,10 +83,10 @@ TEST(CrossTrafficTest, FlowSqueezesSubscriptionThenReleases) {
   options.receivers_per_set = 2;
   // A 128 Kbps non-conforming flow crosses the 256 Kbps bottleneck during
   // [100 s, 250 s): set 1's sustainable level drops from 3 to 2.
-  options.cross_traffic_bps = 128e3;
-  options.cross_start = 100_s;
-  options.cross_stop = 250_s;
-  auto s = ScenarioBuilder(config).topology_a(options).build();
+  auto s = ScenarioBuilder(config)
+               .topology_a(options)
+               .with_cross_traffic({"r0", "r1", 128e3, 100_s, 250_s})
+               .build();
   s->run();
 
   const auto& r = s->results()[0];  // a set-1 receiver

@@ -51,10 +51,9 @@ TEST(DeterminismTest, ChurnAndCrossTraffic) {
   options.join_stagger = 10_s;
   options.leave_fraction = 0.4;
   options.leave_at = 100_s;
-  options.cross_traffic_bps = 96e3;
-  options.cross_start = 50_s;
-  auto a = ScenarioBuilder(base_config(9)).topology_a(options).build();
-  auto b = ScenarioBuilder(base_config(9)).topology_a(options).build();
+  const CrossTrafficSpec cross{"r0", "r1", 96e3, 50_s};
+  auto a = ScenarioBuilder(base_config(9)).topology_a(options).with_cross_traffic(cross).build();
+  auto b = ScenarioBuilder(base_config(9)).topology_a(options).with_cross_traffic(cross).build();
   a->run();
   b->run();
   EXPECT_EQ(fingerprint(*a), fingerprint(*b));

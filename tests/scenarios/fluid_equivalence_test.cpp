@@ -153,10 +153,10 @@ TEST(FluidEquivalenceTest, FluidStarConvergesAndCreditsEndpoints) {
 TEST(FluidEquivalenceTest, FluidRunsAreDeterministic) {
   auto run_once = [] {
     ScenarioConfig cfg = engine_config(TrafficEngine::kFluid, traffic::TrafficModel::kVbr, 9);
-    TopologyAOptions options;
-    options.cross_traffic_bps = 96e3;  // exercises the background-flow path
-    options.cross_start = 50_s;
-    auto s = ScenarioBuilder(cfg).topology_a(options).build();
+    auto s = ScenarioBuilder(cfg)
+                 .topology_a({})
+                 .with_cross_traffic({"r0", "r1", 96e3, 50_s})  // the background-flow path
+                 .build();
     s->run();
     return fingerprint(*s);
   };

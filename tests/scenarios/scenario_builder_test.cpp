@@ -80,5 +80,65 @@ controller s
   EXPECT_GT(s->results()[0].final_subscription, 0);
 }
 
+/// The star of StarOptions{} written in the topology language: same nodes,
+/// links, latency and bandwidths, no `optimal` and no labels.
+std::string star_text(int receivers, const char* traffic = "") {
+  std::string text = "node source\nnode hub\nlink source hub 1Gbps 200ms\n";
+  for (int i = 0; i < receivers; ++i) {
+    const std::string node = "recv" + std::to_string(i);
+    text += "node " + node + "\nlink hub " + node + " 1.2Mbps 200ms\n";
+  }
+  for (int i = 0; i < receivers; ++i) text += "receiver recv" + std::to_string(i) + " 0\n";
+  return text + "source 0 source\ncontroller source\n" + traffic;
+}
+
+// Every receiver reports to the controller, a routing sink: a star written as
+// text routes its reports through one sink row, not one row per receiver.
+TEST(ScenarioBuilderTest, DescribedStarRoutesReportsThroughOneSinkRow) {
+  const auto parsed = parse_topology(star_text(2000, "traffic fluid\n"));
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ScenarioConfig config = quick_config();
+  config.duration = 3_s;
+  auto s = ScenarioBuilder(config).topology(*parsed.description).build();
+  s->run();
+  ASSERT_NE(s->controller(), nullptr);
+  ASSERT_GE(s->controller()->reports_received(), 2000u);  // every receiver reported
+  EXPECT_LE(s->network().routes().computed_rows(), 2u);
+  EXPECT_EQ(s->network().routes().computed_sink_rows(), 1u);
+}
+
+// The built-in star is its description: the same star written as text builds
+// the same network and runs the same, only the result labels differ.
+TEST(ScenarioBuilderTest, BuiltInStarMatchesTheSameStarWrittenAsText) {
+  ScenarioConfig config = quick_config(17);
+  config.duration = 20_s;
+  auto built_in = ScenarioBuilder(config).star({.receivers = 50}).build();
+  const auto parsed = parse_topology(star_text(50));
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  auto described = ScenarioBuilder(config).topology(*parsed.description).build();
+  built_in->run();
+  described->run();
+
+  ASSERT_EQ(built_in->results().size(), 50u);
+  ASSERT_EQ(described->results().size(), 50u);
+  EXPECT_EQ(built_in->network().node_count(), described->network().node_count());
+  EXPECT_EQ(built_in->network().link_count(), described->network().link_count());
+  for (std::size_t i = 0; i < 50; ++i) {
+    const ReceiverResult& a = built_in->result(i);
+    const ReceiverResult& b = described->result(i);
+    EXPECT_EQ(a.name, "star/" + std::to_string(i));
+    EXPECT_EQ(b.name, "recv" + std::to_string(i) + "/s0");
+    EXPECT_EQ(a.node, b.node);
+    EXPECT_EQ(a.optimal, 5);  // the closed form: 992 kbps fits 1.2 Mbps
+    EXPECT_EQ(a.optimal, b.optimal);  // the allocator agrees
+    EXPECT_EQ(a.timeline.points(), b.timeline.points()) << a.name;
+    const auto& ea = *built_in->endpoints()[i];
+    const auto& eb = *described->endpoints()[i];
+    EXPECT_EQ(ea.total_packets(), eb.total_packets()) << a.name;
+    EXPECT_EQ(ea.total_lost_packets(), eb.total_lost_packets()) << a.name;
+    EXPECT_EQ(ea.total_bytes(), eb.total_bytes()) << a.name;
+  }
+}
+
 }  // namespace
 }  // namespace tsim::scenarios
