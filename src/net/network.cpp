@@ -23,7 +23,7 @@ LinkId Network::add_link(NodeId from, NodeId to, units::BitsPerSec bandwidth, si
   if (from >= nodes_.size() || to >= nodes_.size()) {
     throw std::out_of_range("Network::add_link: unknown node");
   }
-  if (bandwidth <= units::BitsPerSec::zero()) {
+  if (!(bandwidth > units::BitsPerSec::zero())) {  // NaN fails too
     throw std::invalid_argument("Network::add_link: bandwidth must be positive");
   }
   if (queue_limit_packets > std::numeric_limits<std::uint32_t>::max()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -34,12 +35,18 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
+/// Largest time the language accepts, in seconds: sim::Time holds int64
+/// nanoseconds (about 9.22e9 s), and Time::seconds' conversion is undefined
+/// beyond that.
+constexpr double kMaxSeconds = 9.2e9;
+
+/// Parses a finite number; NaN and the infinities are malformed here.
 bool parse_double(std::string_view s, double& out) {
   // std::from_chars for double is unevenly supported; go through strtod.
   const std::string copy{s};
   char* end = nullptr;
   out = std::strtod(copy.c_str(), &end);
-  return end == copy.c_str() + copy.size() && !copy.empty();
+  return end == copy.c_str() + copy.size() && !copy.empty() && std::isfinite(out);
 }
 
 bool parse_seconds(const std::string& token, sim::Time& out, std::string& error,
@@ -47,6 +54,10 @@ bool parse_seconds(const std::string& token, sim::Time& out, std::string& error,
   double value = 0.0;
   if (!parse_double(token, value) || value < 0.0) {
     error = std::string{"bad "} + what + " '" + token + "' (plain seconds, e.g. 60)";
+    return false;
+  }
+  if (value > kMaxSeconds) {
+    error = std::string{what} + " '" + token + "' out of range (at most 9.2e9 s)";
     return false;
   }
   out = sim::Time::seconds(value);
@@ -224,7 +235,9 @@ sim::Time parse_latency(std::string_view token) {
     return sim::Time::seconds(-1.0);
   }
   double value = 0.0;
-  if (!parse_double(digits, value) || value < 0.0) return sim::Time::seconds(-1.0);
+  if (!parse_double(digits, value) || value < 0.0 || value * scale_to_seconds > kMaxSeconds) {
+    return sim::Time::seconds(-1.0);
+  }
   return sim::Time::seconds(value * scale_to_seconds);
 }
 
@@ -270,7 +283,8 @@ ParseResult parse_topology(std::string_view text) {
       }
       link.latency = parse_latency(tokens[4]);
       if (link.latency < sim::Time::zero()) {
-        return fail(line_no, "bad latency '" + tokens[4] + "' (use e.g. 200ms, 1s)");
+        return fail(line_no, "bad latency '" + tokens[4] +
+                                 "' (use e.g. 200ms, 1s; at most 9.2e9 s)");
       }
       for (std::size_t i = 5; i < tokens.size(); ++i) {
         if (tokens[i] == "red") {
@@ -312,15 +326,12 @@ ParseResult parse_topology(std::string_view text) {
         if (i + 1 >= tokens.size()) {
           return fail(line_no, "receiver option '" + tokens[i] + "' needs a value");
         }
-        double value = 0.0;
-        if (!parse_double(tokens[i + 1], value) || value < 0.0) {
-          return fail(line_no,
-                      "bad time '" + tokens[i + 1] + "' (non-negative seconds)");
-        }
+        sim::Time value{};
+        if (!parse_seconds(tokens[i + 1], value, error, "time")) return fail(line_no, error);
         if (tokens[i] == "start") {
-          rcv.start = sim::Time::seconds(value);
+          rcv.start = value;
         } else if (tokens[i] == "stop") {
-          rcv.stop = sim::Time::seconds(value);
+          rcv.stop = value;
         } else {
           return fail(line_no, "unknown receiver option '" + tokens[i] + "'");
         }

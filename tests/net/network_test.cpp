@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/simulation.hpp"
 
 namespace tsim::net {
@@ -38,6 +40,14 @@ TEST_F(NetworkFixture, DuplexLinkCreatesBothDirections) {
 TEST_F(NetworkFixture, AddLinkValidatesNodes) {
   network.add_node();
   EXPECT_THROW(network.add_link(0, 5, tsim::units::BitsPerSec{1e6}, 1_ms), std::out_of_range);
+}
+
+TEST_F(NetworkFixture, AddLinkRejectsNanBandwidth) {
+  const NodeId a = network.add_node();
+  const NodeId b = network.add_node();
+  EXPECT_THROW(network.add_link(a, b, tsim::units::BitsPerSec{std::nan("")}, 1_ms),
+               std::invalid_argument);
+  EXPECT_EQ(network.link_count(), 0u);
 }
 
 TEST_F(NetworkFixture, AddLinkRejectsQueueLimitsAbove32Bits) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "scenarios/scenario.hpp"
 
 namespace tsim::scenarios {
@@ -170,6 +175,57 @@ TEST(TopologyParseTest, RejectsBrokenReceiverWindows) {
   ASSERT_FALSE(inverted.ok());
   EXPECT_NE(inverted.error.find("stop must be after start"), std::string::npos)
       << inverted.error;
+}
+
+// Numbers must be finite and times must fit sim::Time (int64 nanoseconds):
+// each input below is refused with its line instead of reaching an undefined
+// double-to-integer conversion in build() or a NaN in the datapath.
+struct NumberCase {
+  const char* directive;  ///< replaces line `line` of the base text, or is appended
+  int line;
+  const char* expected;   ///< a fragment of the diagnostic
+};
+
+void PrintTo(const NumberCase& c, std::ostream* os) { *os << '\'' << c.directive << '\''; }
+
+class BadNumbers : public ::testing::TestWithParam<NumberCase> {};
+
+TEST_P(BadNumbers, AreRejectedWithTheirLine) {
+  std::vector<std::string> lines{"node r",      "node d",       "link r d 1Mbps 20ms",
+                                 "source 0 r", "receiver d 0", "controller r"};
+  const NumberCase& c = GetParam();
+  if (c.line <= static_cast<int>(lines.size())) {
+    lines[static_cast<std::size_t>(c.line - 1)] = c.directive;
+  } else {
+    lines.emplace_back(c.directive);
+  }
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  const auto result = parse_topology(text);
+  ASSERT_FALSE(result.ok()) << c.directive;
+  EXPECT_NE(result.error.find("line " + std::to_string(c.line) + ":"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find(c.expected), std::string::npos) << result.error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, BadNumbers,
+    ::testing::Values(NumberCase{"link r d nanMbps 20ms", 3, "bad bandwidth"},
+                      NumberCase{"link r d 1Mbps nanms", 3, "at most 9.2e9 s"},
+                      NumberCase{"link r d 1Mbps infs", 3, "at most 9.2e9 s"},
+                      NumberCase{"link r d 1Mbps 1e300s", 3, "at most 9.2e9 s"},
+                      NumberCase{"receiver d 0 start nan", 5, "bad time"},
+                      NumberCase{"receiver d 0 start 1e30", 5, "out of range"},
+                      NumberCase{"fault link r d lossy nan 1 5", 7, "bad probability"},
+                      NumberCase{"fault link r d down 1e30", 7, "out of range"},
+                      NumberCase{"traffic fluid step nan", 7, "bad step"}));
+
+TEST(TopologyParseTest, AcceptsTimesUpToTheLimit) {
+  const auto result = parse_topology(
+      "node r\nnode d\nlink r d 1Mbps 20ms\nsource 0 r\nreceiver d 0 stop 9.2e9\n"
+      "controller r\n");
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.description->receivers[0].stop, Time::seconds(std::int64_t{9'200'000'000}));
 }
 
 TEST(FromDescriptionTest, BuildsAndRunsEndToEnd) {
