@@ -5,9 +5,10 @@ Usage: check_perf_baseline.py CANDIDATE BASELINE [THRESHOLD]
 
 Handles both bench shapes:
   * BENCH_e2e.json — one top-level case (events_per_sec + fingerprint).
-  * BENCH_scale.json — a "cases" array (star_fanout, tiered_closed_loop, ...)
-    plus an optional seed "sweep"; every case named in the baseline is gated
-    and must also report deterministic=true.
+  * BENCH_scale.json / BENCH_fault.json — a "cases" array (star_fanout,
+    tiered_closed_loop, link_failure_topo_a, ...) plus an optional seed
+    "sweep"; every case named in the baseline is gated and must also report
+    deterministic=true.
 
 Fails (exit 1) when any gated case has:
   * events_per_sec below baseline/THRESHOLD (default 2.0 — generous on
@@ -19,6 +20,9 @@ Fails (exit 1) when any gated case has:
     baseline (see docs/benchmarking.md), or
   * deterministic=false (scale cases run twice; the two fingerprints must
     agree).
+
+A baseline case without "events_per_sec" (the fault cases, which time no
+event loop) is gated on its fingerprint and determinism only.
 
 A baseline case may set "gate": "determinism" to be gated on determinism
 alone: no fingerprint pin and no throughput floor, only deterministic=true.
@@ -49,8 +53,8 @@ def gate_case(label, candidate, baseline, threshold, failures, skip_throughput=F
     base_fp = baseline.get("fingerprint")
     if candidate.get("deterministic") is False:
         failures.append(f"{label}: run is not deterministic (re-run fingerprint differs)")
-    cand_eps = float(candidate["events_per_sec"])
     if baseline.get("gate", "exact") == "determinism":
+        cand_eps = float(candidate["events_per_sec"])
         print(
             f"perf gate [{label}]: {cand_eps / 1e6:.2f}M events/s "
             f"(determinism gate only), fingerprint {cand_fp}"
@@ -61,6 +65,11 @@ def gate_case(label, candidate, baseline, threshold, failures, skip_throughput=F
             f"{label}: fingerprint changed: {cand_fp} vs baseline {base_fp} — "
             "behaviour changed; if intentional, re-record the baseline"
         )
+    if "events_per_sec" not in baseline:
+        print(f"perf gate [{label}]: no throughput recorded (fingerprint gate), "
+              f"fingerprint {cand_fp}")
+        return
+    cand_eps = float(candidate["events_per_sec"])
     base_eps = float(baseline["events_per_sec"])
     floor = base_eps / threshold
     if skip_throughput:

@@ -110,6 +110,28 @@ class CheckPerfBaselineTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("mode mismatch", out)
 
+    def test_case_without_throughput_is_gated_on_fingerprint_only(self):
+        # A fault case records no events/s: its fingerprint and determinism
+        # are still pinned, and nothing asks for a throughput.
+        fault = {"name": "link_failure_topo_a", "fingerprint": "cccc000000000003",
+                 "deterministic": True}
+        baseline = {"bench": "fault", "quick": True, "cases": [fault]}
+        code, out = self.check(copy.deepcopy(baseline), baseline)
+        self.assertEqual(code, 0, out)
+        self.assertIn("no throughput recorded", out)
+
+        cand = copy.deepcopy(baseline)
+        cand["cases"][0]["fingerprint"] = "ffff000000000000"
+        code, out = self.check(cand, baseline)
+        self.assertEqual(code, 1, out)
+        self.assertIn("link_failure_topo_a: fingerprint changed", out)
+
+        cand = copy.deepcopy(baseline)
+        cand["cases"][0]["deterministic"] = False
+        code, out = self.check(cand, baseline)
+        self.assertEqual(code, 1, out)
+        self.assertIn("link_failure_topo_a: run is not deterministic", out)
+
     def test_missing_case_fails(self):
         cand = self.candidate()
         del cand["cases"][1]
