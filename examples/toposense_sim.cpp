@@ -11,9 +11,17 @@
 //                                      (bare --audit means log). Violations
 //                                      are printed as a JSON report and make
 //                                      the exit code non-zero.
+//
+// Exit: 0 ok, 1 unreadable file or a topology that does not parse or build,
+// 2 bad command line, 3 audit violations. The duration is seconds in
+// (0, 9.2e9], the topology language's time limit.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -83,6 +91,39 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (positional.size() > 3) {
+    std::fprintf(stderr,
+                 "error: too many arguments (usage: toposense_sim [--audit[=MODE]] "
+                 "[topology-file [seconds [cbr|vbr3|vbr6]]])\n");
+    return 2;
+  }
+
+  scenarios::ScenarioConfig config;
+  config.seed = 1;
+  config.audit = audit;
+  config.duration = Time::seconds(300);
+  if (positional.size() > 1) {
+    char* end = nullptr;
+    const double seconds = std::strtod(positional[1], &end);
+    if (end == positional[1] || *end != '\0' || !std::isfinite(seconds) || seconds <= 0.0 ||
+        seconds > scenarios::kMaxSeconds) {
+      std::fprintf(stderr, "error: bad duration '%s' (seconds in (0, 9.2e9])\n", positional[1]);
+      return 2;
+    }
+    config.duration = Time::seconds(seconds);
+  }
+  if (positional.size() > 2) {
+    const std::string_view model{positional[2]};
+    if (model == "vbr3" || model == "vbr6") {
+      config.traffic.model = traffic::TrafficModel::kVbr;
+      config.traffic.peak_to_mean = model == "vbr3" ? 3.0 : 6.0;
+    } else if (model != "cbr") {
+      std::fprintf(stderr, "error: unknown traffic model '%s' (cbr | vbr3 | vbr6)\n",
+                   positional[2]);
+      return 2;
+    }
+  }
+
   std::string text = kSampleTopology;
   std::string source_name = "<built-in sample>";
   if (!positional.empty()) {
@@ -103,22 +144,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  scenarios::ScenarioConfig config;
-  config.seed = 1;
-  config.audit = audit;
-  config.duration =
-      Time::seconds(std::int64_t{positional.size() > 1 ? std::atol(positional[1]) : 300});
-  if (positional.size() > 2) {
-    if (std::strcmp(positional[2], "vbr3") == 0) {
-      config.traffic.model = traffic::TrafficModel::kVbr;
-      config.traffic.peak_to_mean = 3.0;
-    } else if (std::strcmp(positional[2], "vbr6") == 0) {
-      config.traffic.model = traffic::TrafficModel::kVbr;
-      config.traffic.peak_to_mean = 6.0;
-    }
-  }
-
-  std::printf("toposense_sim: %s, %.0f s, %s\n\n", source_name.c_str(),
+  std::printf("toposense_sim: %s, %.9g s, %s\n\n", source_name.c_str(),
               config.duration.as_seconds(),
               config.traffic.model == traffic::TrafficModel::kCbr
                   ? "CBR"
@@ -129,7 +155,13 @@ int main(int argc, char** argv) {
                 parsed.description->faults.summary().c_str());
   }
 
-  auto scenario = scenarios::Scenario::from_description(config, *parsed.description);
+  std::unique_ptr<scenarios::Scenario> scenario;
+  try {
+    scenario = scenarios::Scenario::from_description(config, *parsed.description);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s: %s\n", source_name.c_str(), e.what());
+    return 1;
+  }
   try {
     scenario->run();
   } catch (const check::AuditError& e) {

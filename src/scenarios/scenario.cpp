@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -93,8 +92,8 @@ class NodeIndex {
 /// The offline allocator's input: each source's session tree is the union of
 /// its routed source->receiver paths, the first path through a node fixing
 /// its parent. Nodes are listed in node-id order, which fixes the
-/// allocator's tie-breaking. Throws std::invalid_argument for a receiver its
-/// source cannot reach.
+/// allocator's tie-breaking. Throws std::invalid_argument, naming the
+/// receiver's line when it has one, for a receiver its source cannot reach.
 std::vector<core::SessionInput> session_trees(const net::Network& netw, const NodeIndex& index,
                                               const TopologyDescription& description) {
   constexpr net::NodeId kOffTree = net::kInvalidNode - 1;
@@ -113,7 +112,10 @@ std::vector<core::SessionInput> session_trees(const net::Network& netw, const No
       const net::NodeId node = index.at(rcv.node);
       const auto path = netw.routes().path(in.source, node);
       if (path.empty()) {
-        throw std::invalid_argument("receiver '" + rcv.node + "' unreachable from source");
+        const std::string where =
+            rcv.line > 0 ? "line " + std::to_string(rcv.line) + ": " : std::string{};
+        throw std::invalid_argument(where + "receiver '" + rcv.node +
+                                    "' unreachable from source");
       }
       for (std::size_t i = 1; i < path.size(); ++i) {
         if (parent[path[i]] != kOffTree) continue;
@@ -159,66 +161,7 @@ void Scenario::add_session_source(net::SessionId session, net::NodeId node) {
     fluid_sources_.push_back(std::make_unique<traffic::FluidSource>(*simulation_, cfg));
     return;
   }
-  if (config_.traffic.engine == TrafficEngine::kBurst) {
-    cfg.train_packets = config_.traffic.burst_train;
-  }
   sources_.push_back(std::make_unique<traffic::LayeredSource>(*simulation_, *network_, cfg));
-}
-
-std::vector<control::Domain> Scenario::resolve_domains() const {
-  if (!declared_domains_.empty()) return declared_domains_;
-
-  control::Domain root;
-  root.name = "core";
-  root.controller_node = controller_node_;
-  root.parent = -1;
-
-  const int want = config_.domains.auto_partition;
-  if (want <= 1) {
-    for (net::NodeId n = 0; n < network_->node_count(); ++n) root.nodes.push_back(n);
-    return {std::move(root)};
-  }
-
-  // Automatic partitioner: group every node by the first hop of its route
-  // from the controller. The want-1 largest depth-1 subtrees become child
-  // domains rooted at their gateway (the border the parent's tree enters
-  // through); everything else — including unreachable nodes — stays in the
-  // root domain.
-  root.nodes.push_back(controller_node_);
-  std::map<net::NodeId, std::vector<net::NodeId>> by_gateway;
-  for (net::NodeId n = 0; n < network_->node_count(); ++n) {
-    if (n == controller_node_) continue;
-    const auto path = network_->routes().path(controller_node_, n);
-    if (path.size() < 2) {
-      root.nodes.push_back(n);
-      continue;
-    }
-    by_gateway[path[1]].push_back(n);
-  }
-  std::vector<std::pair<net::NodeId, std::size_t>> sized;
-  sized.reserve(by_gateway.size());
-  for (const auto& [gateway, members] : by_gateway) sized.emplace_back(gateway, members.size());
-  std::sort(sized.begin(), sized.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  const std::size_t children =
-      std::min<std::size_t>(static_cast<std::size_t>(want - 1), sized.size());
-
-  std::vector<control::Domain> domains;
-  domains.push_back(std::move(root));
-  for (std::size_t c = 0; c < children; ++c) {
-    control::Domain child;
-    child.name = "auto" + std::to_string(c);
-    child.controller_node = sized[c].first;
-    child.nodes = by_gateway.at(sized[c].first);
-    child.parent = 0;
-    domains.push_back(std::move(child));
-  }
-  for (std::size_t c = children; c < sized.size(); ++c) {
-    const auto& members = by_gateway.at(sized[c].first);
-    domains.front().nodes.insert(domains.front().nodes.end(), members.begin(), members.end());
-  }
-  return domains;
 }
 
 std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
@@ -295,14 +238,14 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
   throw std::logic_error("unknown controller kind");
 }
 
-void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& receivers) {
+void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& receivers,
+                        const std::vector<control::Domain>& domains) {
   if (config_.queues.red) {
     for (net::LinkId id = 0; id < network_->link_count(); ++id) {
       network_->link(id).enable_red({});
     }
   }
 
-  const std::vector<control::Domain> domains = resolve_domains();
   const bool toposense = config_.control.kind == ControllerKind::kTopoSense;
 
   // Each receiver reports to the controller of the domain owning its node, so
@@ -489,14 +432,10 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
     case TrafficEngineSpec::kFluid:
       s->config_.traffic.engine = TrafficEngine::kFluid;
       break;
-    case TrafficEngineSpec::kBurst:
-      s->config_.traffic.engine = TrafficEngine::kBurst;
-      break;
   }
   if (description.fluid_step_s) {
     s->config_.traffic.fluid_step = sim::Time::seconds(*description.fluid_step_s);
   }
-  if (description.burst_train) s->config_.traffic.burst_train = *description.burst_train;
 
   for (const std::string& name : description.nodes) netw.add_node(name);
   const NodeIndex index{description.nodes};
@@ -524,33 +463,28 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
   }
   netw.compute_routes();
 
-  s->controller_node_ = index.at(description.controller_node);
-
-  // Declared routing domains: each `domain` line is a child of the implicit
-  // root domain around the controller node; the root owns every node no
-  // domain claimed (in node order — determinism).
-  if (!description.domains.empty()) {
-    std::vector<bool> owned(netw.node_count(), false);
-    control::Domain root;
-    root.name = "core";
-    root.controller_node = s->controller_node_;
-    root.parent = -1;
-    s->declared_domains_.push_back(std::move(root));
-    for (const auto& spec : description.domains) {
-      control::Domain child;
-      child.name = spec.name;
-      child.parent = 0;
-      for (const std::string& name : spec.nodes) {
-        const net::NodeId id = index.at(name);
-        child.nodes.push_back(id);
-        owned[id] = true;
-      }
-      child.controller_node = child.nodes.front();
-      s->declared_domains_.push_back(std::move(child));
+  // Routing domains: the root domain around the controller node, plus one
+  // child per `domain` line. The root owns every node no domain claimed, in
+  // node order (determinism); without `domain` lines that is every node.
+  std::vector<control::Domain> domains(1);
+  domains.front().name = "core";
+  domains.front().controller_node = index.at(description.controller_node);
+  domains.front().parent = -1;
+  std::vector<bool> owned(netw.node_count(), false);
+  for (const auto& spec : description.domains) {
+    control::Domain child;
+    child.name = spec.name;
+    child.parent = 0;
+    for (const std::string& name : spec.nodes) {
+      const net::NodeId id = index.at(name);
+      child.nodes.push_back(id);
+      owned[id] = true;
     }
-    for (net::NodeId id = 0; id < netw.node_count(); ++id) {
-      if (!owned[id]) s->declared_domains_.front().nodes.push_back(id);
-    }
+    child.controller_node = child.nodes.front();
+    domains.push_back(std::move(child));
+  }
+  for (net::NodeId id = 0; id < netw.node_count(); ++id) {
+    if (!owned[id]) domains.front().nodes.push_back(id);
   }
 
   for (const auto& src : description.sources) {
@@ -574,7 +508,7 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
         metrics::SubscriptionTimeline{Time::zero(), 0}, 0.0});
   }
 
-  s->finalize(description.receivers);
+  s->finalize(description.receivers, domains);
   if (!description.faults.events().empty()) s->install_faults(description.faults);
   return s;
 }

@@ -43,7 +43,6 @@ enum class DiscoveryMode {
 enum class TrafficEngine {
   kPacket,  ///< one scheduler event per packet (LayeredSource, the default)
   kFluid,   ///< rate trajectories integrated per step (traffic::FluidEngine)
-  kBurst,   ///< K-packet trains per event (LayeredSource, K = traffic.burst_train)
 };
 
 /// Which adaptation scheme drives the receivers. The scenario wiring itself
@@ -64,8 +63,6 @@ struct ScenarioConfig {
     TrafficEngine engine{TrafficEngine::kPacket};
     /// Fluid integration step; must divide one second (see FluidEngine).
     sim::Time fluid_step{sim::Time::milliseconds(100)};
-    /// Packets per train under TrafficEngine::kBurst.
-    int burst_train{4};
   };
   /// Every queue holds its link's bandwidth-delay product, at least 30
   /// packets (a topology file's `queue` option overrides per link).
@@ -87,12 +84,6 @@ struct ScenarioConfig {
     int initial_subscription{1};
   };
   struct Domains {
-    /// Automatic partitioner: when > 1 and the topology declares no `domain`
-    /// lines, split the topology into up to this many routing domains (the
-    /// largest depth-1 subtrees below the controller become child domains,
-    /// everything else stays in the root). 1 = single-domain (the default,
-    /// byte-identical to the pre-domain wiring).
-    int auto_partition{1};
     /// Child -> parent DomainSummary cadence and first exchange.
     sim::Time summary_period{sim::Time::seconds(5)};
     sim::Time summary_start{sim::Time::seconds(5)};
@@ -208,8 +199,7 @@ struct ReceiverResult {
 ///
 /// The adaptation control plane is always a control::DomainManager — a
 /// single-domain manager over the whole topology by default, or one scheme
-/// per routing domain when the topology declares `domain` lines (or
-/// config.domains.auto_partition asks for a split).
+/// per routing domain when the topology declares `domain` lines.
 class Scenario {
  public:
   /// Builds a scenario from a topology description (see topology_file.hpp):
@@ -218,7 +208,7 @@ class Scenario {
   /// receiver's optimum is its `optimal` when set, else the offline
   /// allocator's on the declared capacities; `fault` lines are installed
   /// automatically. Throws std::invalid_argument on unknown node names and
-  /// unreachable receivers.
+  /// unreachable receivers (naming the receiver's line).
   static std::unique_ptr<Scenario> from_description(const ScenarioConfig& config,
                                                     const TopologyDescription& description);
 
@@ -293,33 +283,25 @@ class Scenario {
 
   /// Makes `node` the source of `session`: registers it with the multicast
   /// router and creates its traffic source on whichever engine the config
-  /// selects (packet, fluid or burst). finalize() starts it.
+  /// selects (packet or fluid). finalize() starts it.
   void add_session_source(net::SessionId session, net::NodeId node);
 
-  /// Resolves the domain partition: declared domains when the topology file
-  /// had `domain` lines, else the automatic partitioner when
-  /// config.domains.auto_partition > 1, else one root domain over everything.
-  [[nodiscard]] std::vector<control::Domain> resolve_domains() const;
   /// Builds the per-domain adaptation scheme for the configured kind.
   [[nodiscard]] std::unique_ptr<control::AdaptationController> make_scheme(
       std::size_t index, const control::Domain& domain,
       const std::vector<control::Domain>& all);
   /// Builds the endpoints of results() (active in their `receivers` spec's
-  /// window), wires controllers and discovery, registers every domain's
-  /// controller as a routing sink and starts everything. Routes are computed
-  /// already.
-  void finalize(const std::vector<TopologyDescription::ReceiverSpec>& receivers);
+  /// window), wires the controllers of `domains` (the root first) and
+  /// discovery, registers every domain's controller as a routing sink and
+  /// starts everything. Routes are computed already.
+  void finalize(const std::vector<TopologyDescription::ReceiverSpec>& receivers,
+                const std::vector<control::Domain>& domains);
 
   ScenarioConfig config_;
   std::unique_ptr<sim::Simulation> simulation_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<mcast::MulticastRouter> mcast_;
   std::unique_ptr<transport::DemuxRegistry> demuxes_;
-  net::NodeId controller_node_{net::kInvalidNode};
-  /// Domains declared by the topology description (empty without `domain`
-  /// lines; resolve_domains() falls back to the auto partitioner / single
-  /// root).
-  std::vector<control::Domain> declared_domains_;
   std::vector<std::unique_ptr<traffic::LayeredSource>> sources_;
   std::vector<std::unique_ptr<traffic::FluidSource>> fluid_sources_;
   /// Runs the fluid engine's split tree walks, one worker per CPU the

@@ -35,11 +35,6 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-/// Largest time the language accepts, in seconds: sim::Time holds int64
-/// nanoseconds (about 9.22e9 s), and Time::seconds' conversion is undefined
-/// beyond that.
-constexpr double kMaxSeconds = 9.2e9;
-
 /// Parses a finite number; NaN and the infinities are malformed here.
 bool parse_double(std::string_view s, double& out) {
   // std::from_chars for double is unevenly supported; go through strtod.
@@ -360,17 +355,15 @@ ParseResult parse_topology(std::string_view text) {
       desc.domains.push_back(std::move(dom));
     } else if (directive == "traffic") {
       if (tokens.size() < 2) {
-        return fail(line_no, "traffic needs: packet|fluid|burst [options]");
+        return fail(line_no, "traffic needs: packet|fluid [options]");
       }
       const std::string& engine = tokens[1];
       if (engine == "packet") {
         desc.engine = TrafficEngineSpec::kPacket;
       } else if (engine == "fluid") {
         desc.engine = TrafficEngineSpec::kFluid;
-      } else if (engine == "burst") {
-        desc.engine = TrafficEngineSpec::kBurst;
       } else {
-        return fail(line_no, "unknown traffic engine '" + engine + "' (packet|fluid|burst)");
+        return fail(line_no, "unknown traffic engine '" + engine + "' (packet|fluid)");
       }
       desc.traffic_line = line_no;
       for (std::size_t i = 2; i < tokens.size(); i += 2) {
@@ -391,15 +384,6 @@ ParseResult parse_topology(std::string_view text) {
                         "step '" + tokens[i + 1] + "' must divide one second exactly");
           }
           desc.fluid_step_s = step_s;
-        } else if (tokens[i] == "train" && desc.engine == TrafficEngineSpec::kBurst) {
-          int packets = 0;
-          const auto [ptr, ec] = std::from_chars(
-              tokens[i + 1].data(), tokens[i + 1].data() + tokens[i + 1].size(), packets);
-          if (ec != std::errc{} || ptr != tokens[i + 1].data() + tokens[i + 1].size() ||
-              packets < 1) {
-            return fail(line_no, "bad train size '" + tokens[i + 1] + "' (integer >= 1)");
-          }
-          desc.burst_train = packets;
         } else {
           return fail(line_no, "unknown traffic option '" + tokens[i] + "' for engine '" +
                                    engine + "'");
@@ -428,18 +412,23 @@ ParseResult parse_topology(std::string_view text) {
     link_pairs.insert(link.a < link.b ? std::make_pair(link.a, link.b)
                                       : std::make_pair(link.b, link.a));
   }
-  std::set<std::uint16_t> sessions_with_source;
+  std::map<std::uint16_t, int> source_line;  // session -> line of its source
   for (const auto& src : desc.sources) {
     if (!known(src.node)) {
       return fail(src.line, "source on undeclared node '" + src.node + "'");
     }
-    sessions_with_source.insert(src.session);
+    const auto [it, inserted] = source_line.emplace(src.session, src.line);
+    if (!inserted) {
+      return fail(src.line, "session " + std::to_string(src.session) +
+                                " already has a source (line " + std::to_string(it->second) +
+                                ")");
+    }
   }
   for (const auto& rcv : desc.receivers) {
     if (!known(rcv.node)) {
       return fail(rcv.line, "receiver on undeclared node '" + rcv.node + "'");
     }
-    if (sessions_with_source.count(rcv.session) == 0) {
+    if (source_line.count(rcv.session) == 0) {
       return fail(rcv.line,
                   "receiver session " + std::to_string(rcv.session) + " has no source");
     }

@@ -23,7 +23,6 @@ namespace tsim::scenarios {
 ///   domain <name> <border-node> [<node>...]
 ///   traffic packet
 ///   traffic fluid [step <seconds>]
-///   traffic burst [train <packets>]
 ///   fault link <a> <b> down <t> [up <t>]
 ///   fault link <a> <b> lossy <p> <t0> <t1>
 ///   fault link <a> <b> flap <t0> <t1> period <seconds> [duty <d>]
@@ -42,13 +41,18 @@ namespace tsim::scenarios {
 /// `domain` line form the implicit root domain around the `controller` node,
 /// which therefore must not itself be claimed by a `domain` line. Each node
 /// belongs to at most one domain.
+
+/// Largest time the language accepts, in seconds: sim::Time holds int64
+/// nanoseconds (about 9.22e9 s), and Time::seconds' conversion is undefined
+/// beyond that.
+inline constexpr double kMaxSeconds = 9.2e9;
+
 /// Traffic engine requested by a `traffic` directive. kDefault means the
 /// file said nothing and the ScenarioConfig's selection stands.
 enum class TrafficEngineSpec {
   kDefault,
   kPacket,
   kFluid,
-  kBurst,
 };
 
 struct TopologyDescription {
@@ -96,7 +100,6 @@ struct TopologyDescription {
   /// Traffic engine selection (`traffic` directive; kDefault when absent).
   TrafficEngineSpec engine{TrafficEngineSpec::kDefault};
   std::optional<double> fluid_step_s;  ///< `traffic fluid step <seconds>`
-  std::optional<int> burst_train;     ///< `traffic burst train <packets>`
   int traffic_line{0};
   /// Schedule parsed from `fault` directives (empty when the file has none).
   fault::FaultPlan faults;
@@ -113,7 +116,7 @@ struct ParseResult {
 };
 
 /// Parses the topology language. Validates that every referenced node is
-/// declared, every session has a source, and a controller is set.
+/// declared, every session has exactly one source, and a controller is set.
 [[nodiscard]] ParseResult parse_topology(std::string_view text);
 
 /// Reads and parses a topology file from disk. Throws std::runtime_error on

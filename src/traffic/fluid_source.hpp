@@ -24,8 +24,7 @@ namespace tsim::traffic {
 ///
 /// Deliberate divergence from the packet model: the per-layer start stagger
 /// and the +/-10% spacing jitter vanish — both are sub-interval phase effects
-/// a rate trajectory cannot represent (see docs/performance.md). For the
-/// same reason Config::train_packets is ignored.
+/// a rate trajectory cannot represent (see docs/performance.md).
 class FluidSource {
  public:
   using Config = LayeredSource::Config;

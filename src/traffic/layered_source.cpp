@@ -19,7 +19,6 @@ LayeredSource::LayeredSource(sim::Simulation& simulation, net::Network& network,
       rng_{simulation.rng_stream("source/" + std::to_string(config.session))},
       next_seq_(static_cast<std::size_t>(config.layers.num_layers), 0),
       sent_packets_(static_cast<std::size_t>(config.layers.num_layers), 0) {
-  config_.train_packets = std::max(config_.train_packets, 1);
   pps_by_layer_.reserve(static_cast<std::size_t>(config_.layers.num_layers));
   for (int l = 1; l <= config_.layers.num_layers; ++l) {
     pps_by_layer_.push_back(config_.layers.packets_per_second(static_cast<net::LayerId>(l)));
@@ -43,33 +42,28 @@ void LayeredSource::start() {
   }
 }
 
-void LayeredSource::emit_train(net::LayerId layer, long packets) {
-  for (long i = 0; i < packets; ++i) {
-    net::Packet packet;
-    packet.uid = network_.next_packet_uid();
-    packet.kind = net::PacketKind::kData;
-    packet.size_bytes = config_.layers.packet_size_bytes;
-    packet.src = config_.node;
-    packet.multicast = true;
-    packet.group = net::GroupAddr{config_.session, layer};
-    packet.seq = next_seq_[layer - 1]++;
-    ++sent_packets_[layer - 1];
-    sent_bytes_total_ += packet.size_bytes;
-    network_.send_multicast(packet);
-  }
+void LayeredSource::emit(net::LayerId layer) {
+  net::Packet packet;
+  packet.uid = network_.next_packet_uid();
+  packet.kind = net::PacketKind::kData;
+  packet.size_bytes = config_.layers.packet_size_bytes;
+  packet.src = config_.node;
+  packet.multicast = true;
+  packet.group = net::GroupAddr{config_.session, layer};
+  packet.seq = next_seq_[layer - 1]++;
+  ++sent_packets_[layer - 1];
+  sent_bytes_total_ += packet.size_bytes;
+  network_.send_multicast(packet);
 }
 
 void LayeredSource::schedule_cbr_layer(net::LayerId layer) {
   if (simulation_.now() >= config_.stop) return;
-  const long train = config_.train_packets;
-  emit_train(layer, train);
-  const double pps = pps_by_layer_[layer - 1];
-  // Events are K packet periods apart, so the mean rate does not depend on K.
+  emit(layer);
   // +/-10% spacing jitter (mean-preserving): without it, a layer whose packet
   // period exactly matches a link's service time phase-locks with the
   // transmitter and captures the whole drop-tail queue — an artifact real,
   // unsynchronized senders do not exhibit.
-  const double spacing = (static_cast<double>(train) / pps) * rng_.uniform(0.9, 1.1);
+  const double spacing = (1.0 / pps_by_layer_[layer - 1]) * rng_.uniform(0.9, 1.1);
   simulation_.after(sim::Time::seconds(spacing),
                     [this, layer]() { schedule_cbr_layer(layer); });
 }
@@ -79,18 +73,14 @@ void LayeredSource::schedule_vbr_interval(net::LayerId layer) {
 
   const long n = vbr_interval_packets(pps_by_layer_[layer - 1], config_.peak_to_mean, rng_);
 
-  // The n packets of this one-second interval ride in ceil(n/K) trains spread
-  // evenly across it, the last carrying the remainder; burstiness lives at
-  // the seconds scale, as in the source model the paper cites.
-  const long train = config_.train_packets;
-  const long trains = (n + train - 1) / train;
-  const double spacing = 1.0 / static_cast<double>(trains);
-  for (long i = 0; i < trains; ++i) {
-    const long in_train = std::min(train, n - i * train);
-    simulation_.after(sim::Time::seconds(spacing * static_cast<double>(i)),
-                      [this, layer, in_train]() {
-                        if (simulation_.now() < config_.stop) emit_train(layer, in_train);
-                      });
+  // The n packets of this one-second interval are spread evenly across it;
+  // burstiness lives at the seconds scale, as in the source model the paper
+  // cites.
+  const double spacing = 1.0 / static_cast<double>(n);
+  for (long i = 0; i < n; ++i) {
+    simulation_.after(sim::Time::seconds(spacing * static_cast<double>(i)), [this, layer]() {
+      if (simulation_.now() < config_.stop) emit(layer);
+    });
   }
   simulation_.after(sim::Time::seconds(1),
                     [this, layer]() { schedule_vbr_interval(layer); });

@@ -29,16 +29,10 @@ enum class TrafficModel : std::uint8_t {
 /// continuously; receivers adapt by joining/leaving groups — the source never
 /// adapts.
 ///
-/// VBR follows the paper exactly: per one-second interval a layer sends the
-/// n packets of vbr_interval_packets. n_min is 1 in the paper's formulation.
-///
-/// Each scheduler event emits a back-to-back train of `train_packets` (K)
-/// packets. K = 1 is the per-packet model. Larger K is the burst engine, the
-/// middle point between per-packet and fluid traffic: the event load drops by
-/// ~K while queues still see real packet arrivals, in K-deep bursts. CBR
-/// events are K packet periods apart; VBR sends an interval's n packets as
-/// ceil(n/K) trains spread across the second. Sequence numbers stay dense per
-/// layer, so receiver gap accounting works for every K.
+/// Each scheduler event emits one packet. CBR packets are one packet period
+/// apart; VBR follows the paper exactly: per one-second interval a layer sends
+/// the n packets of vbr_interval_packets, spread evenly across the second.
+/// n_min is 1 in the paper's formulation.
 class LayeredSource {
  public:
   struct Config {
@@ -49,7 +43,6 @@ class LayeredSource {
     double peak_to_mean{3.0};  ///< P, used by VBR only (paper studies 3 and 6)
     sim::Time start{sim::Time::zero()};
     sim::Time stop{sim::Time::max()};
-    int train_packets{1};  ///< K: packets per scheduler event (values below 1 act as 1)
   };
 
   LayeredSource(sim::Simulation& simulation, net::Network& network, Config config);
@@ -69,7 +62,7 @@ class LayeredSource {
  private:
   void schedule_cbr_layer(net::LayerId layer);
   void schedule_vbr_interval(net::LayerId layer);
-  void emit_train(net::LayerId layer, long packets);
+  void emit(net::LayerId layer);
 
   sim::Simulation& simulation_;
   net::Network& network_;

@@ -8,6 +8,8 @@
 #include "fault/fault_plan.hpp"
 #include "scenarios/scenario.hpp"
 #include "scenarios/scenario_builder.hpp"
+#include "scenarios/topology_file.hpp"
+#include "../control/two_domain_topology.hpp"
 
 namespace tsim::scenarios {
 namespace {
@@ -50,17 +52,18 @@ TEST(AuditScenarioTest, Fig7StabilityTopologyB) {
 }
 
 TEST(AuditScenarioTest, MultiDomainSummaryExchange) {
-  // Auto-partitioned domains under assert auditing: exercises the
-  // control.domains sweep (border registration, cap ranges, summary counter
-  // sanity) on top of the usual invariants.
+  // Declared domains under assert auditing: exercises the control.domains
+  // sweep (border registration, cap ranges, summary counter sanity) on top of
+  // the usual invariants.
+  const ParseResult parsed = parse_topology(kTwoDomainTopology);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
   ScenarioConfig cfg = audited_config(13, 120_s);
   cfg.traffic.model = traffic::TrafficModel::kVbr;
   cfg.traffic.peak_to_mean = 3.0;
-  cfg.domains.auto_partition = 2;
   cfg.domains.summary_period = 5_s;
-  auto scenario = ScenarioBuilder(cfg).topology_a({}).build();
+  auto scenario = ScenarioBuilder(cfg).topology(*parsed.description).build();
   ASSERT_NE(scenario->domains(), nullptr);
-  ASSERT_EQ(scenario->domains()->domain_count(), 2u);
+  ASSERT_EQ(scenario->domains()->domain_count(), 3u);
   run_audited(std::move(scenario));
 }
 

@@ -7,9 +7,9 @@
 // before DomainManager existed (the fig6/fig7 experiment shapes); they must
 // never change without a deliberate, documented behavior change.
 //
-// On top of that: the topology-language `domain` grammar, the automatic
-// partitioner, the child->parent summary / parent->child cap exchange (real
-// kSummary packets), and the consistency sweep.
+// On top of that: the topology-language `domain` grammar, the child->parent
+// summary / parent->child cap exchange (real kSummary packets), and the
+// consistency sweep.
 #include "control/domain_manager.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "scenarios/scenario.hpp"
 #include "scenarios/scenario_builder.hpp"
 #include "scenarios/topology_file.hpp"
+#include "two_domain_topology.hpp"
 
 namespace tsim::scenarios {
 namespace {
@@ -82,30 +83,6 @@ TEST(DomainGoldenTest, Fig7SingleDomainMatchesPreDomainPipeline) {
   EXPECT_EQ(fingerprint(*s), kFig7Golden);
 }
 
-/// Two child domains hanging off a core; every receiver lives in a child.
-constexpr const char* kTwoDomainTopology = R"(
-node src
-node core
-node d1
-node d1r1
-node d1r2
-node d2
-node d2r1
-link src core 10Mbps 20ms
-link core d1 2Mbps 50ms
-link d1 d1r1 1Mbps 10ms
-link d1 d1r2 1Mbps 10ms
-link core d2 2Mbps 50ms
-link d2 d2r1 1Mbps 10ms
-source 0 src
-receiver d1r1 0
-receiver d1r2 0
-receiver d2r1 0
-controller core
-domain one d1 d1r1 d1r2
-domain two d2 d2r1
-)";
-
 TEST(DomainParseTest, DomainLinesParse) {
   const ParseResult parsed = parse_topology(kTwoDomainTopology);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
@@ -160,6 +137,15 @@ TEST(DomainManagerTest, SummariesAndCapsFlowBetweenDomains) {
   EXPECT_EQ(manager->domain(0).parent, -1);
   EXPECT_EQ(manager->domain(1).parent, 0);
   EXPECT_EQ(manager->domain(2).parent, 0);
+  // Every node is owned by exactly one domain (the partition is total).
+  for (net::NodeId node = 0; node < s->network().node_count(); ++node) {
+    EXPECT_GE(manager->domain_of(node), 0) << "node " << node;
+  }
+  for (std::size_t d = 0; d < manager->domain_count(); ++d) {
+    for (const net::NodeId node : manager->domain(d).nodes) {
+      EXPECT_EQ(manager->domain_of(node), static_cast<int>(d));
+    }
+  }
   EXPECT_TRUE(manager->summaries_enabled());
 
   s->run();
@@ -201,49 +187,18 @@ TEST(DomainManagerTest, MultiDomainRunsAreDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(DomainManagerTest, AutoPartitionerSplitsFirstHopSubtrees) {
-  // Same shape as kTwoDomainTopology but with no `domain` lines: the
-  // partitioner must find the d1/d2 first-hop subtrees on its own.
-  std::string text{kTwoDomainTopology};
-  text = text.substr(0, text.find("domain one"));
-  const ParseResult parsed = parse_topology(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-
-  ScenarioConfig cfg;
-  cfg.seed = 5;
-  cfg.duration = 20_s;
-  cfg.domains.auto_partition = 3;
-  auto s = ScenarioBuilder(cfg).topology(*parsed.description).build();
-
-  control::DomainManager* manager = s->domains();
-  ASSERT_NE(manager, nullptr);
-  EXPECT_EQ(manager->domain_count(), 3u);
-  // Every node must be owned by exactly one domain (the partition is total).
-  for (std::size_t d = 0; d < manager->domain_count(); ++d) {
-    for (const net::NodeId node : manager->domain(d).nodes) {
-      EXPECT_EQ(manager->domain_of(node), static_cast<int>(d));
-    }
-  }
-  EXPECT_TRUE(manager->summaries_enabled());
-  s->run();
-  EXPECT_GT(manager->summaries_sent(), 0u);
-
-  std::vector<std::string> failures;
-  manager->check_consistency([&](const std::string& detail) { failures.push_back(detail); });
-  EXPECT_TRUE(failures.empty()) << failures.front();
-}
-
 TEST(DomainManagerTest, ReceiverDrivenSchemesStayIndependent) {
   // Non-TopoSense schemes run their domains without a summary control plane.
+  const ParseResult parsed = parse_topology(kTwoDomainTopology);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
   ScenarioConfig cfg;
   cfg.seed = 9;
   cfg.duration = 20_s;
   cfg.control.kind = ControllerKind::kReceiverDriven;
-  cfg.domains.auto_partition = 2;
-  auto s = ScenarioBuilder(cfg).topology_b(TopologyBOptions{}).build();
+  auto s = ScenarioBuilder(cfg).topology(*parsed.description).build();
   control::DomainManager* manager = s->domains();
   ASSERT_NE(manager, nullptr);
-  EXPECT_EQ(manager->domain_count(), 2u);
+  EXPECT_EQ(manager->domain_count(), 3u);
   EXPECT_FALSE(manager->summaries_enabled());
   s->run();
   EXPECT_EQ(manager->summaries_sent(), 0u);

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Two-pass cross-TU test for toposense_hotpath.
+"""Cross-file link test for toposense_hotpath.
 
-Summarizes each fixture TU into its own JSON summary file (pass 1), links the
-summaries (pass 2), and asserts the heap allocation in b.cpp is reported as
-reachable from the HOT_PATH root whose annotation sits on a declaration in
-shared.hpp and whose definition sits in a.cpp. The finding can only exist if
-annotation merging and call-edge resolution work across TU summaries — a
-single-TU scan of any one file reports nothing.
+Runs the analyzer on the fixture's files in two halves and then together,
+and asserts the heap allocation in b.cpp is reported as reachable from the
+HOT_PATH root whose annotation sits on a declaration in shared.hpp and whose
+definition sits in a.cpp. Each file is summarized on its own, so the finding
+can only exist if annotation merging and call-edge resolution work across
+file summaries; either half alone reports nothing.
 
 Usage: check_cross_tu.py <toposense_hotpath> <fixture_dir>
 """
@@ -14,7 +14,6 @@ Usage: check_cross_tu.py <toposense_hotpath> <fixture_dir>
 import os
 import subprocess
 import sys
-import tempfile
 
 
 def run(args):
@@ -24,48 +23,35 @@ def run(args):
 def main():
     tool, fixture = sys.argv[1], sys.argv[2]
     src = os.path.join(fixture, "src")
+    a = [os.path.join(src, "a.cpp"), os.path.join(src, "shared.hpp")]
+    b = [os.path.join(src, "b.cpp")]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        # Pass 1: one summary per "TU". The header rides with a.cpp, as a
-        # compile_commands-driven run would summarize each entry separately.
-        summaries = []
-        for name, files in (
-            ("a", [os.path.join(src, "a.cpp"), os.path.join(src, "shared.hpp")]),
-            ("b", [os.path.join(src, "b.cpp")]),
-        ):
-            out = os.path.join(tmp, name + ".json")
-            proc = run([tool, "--summarize", "--out", out] + files)
-            if proc.returncode != 0:
-                print("summarize failed:", proc.stdout, proc.stderr)
-                return 1
-            summaries += ["--summaries", out]
+    # Each half alone must be clean: a.cpp has the root but no violation,
+    # b.cpp has the violation but no root.
+    for half in (a, b):
+        proc = run([tool] + half)
+        if proc.returncode != 0:
+            print(f"{' '.join(map(os.path.basename, half))} alone should be clean:")
+            print(proc.stdout, proc.stderr)
+            return 1
 
-        # Each single TU alone must be clean: a.cpp has the root but no
-        # violation, b.cpp has the violation but no root.
-        for single in ("a.json", "b.json"):
-            proc = run([tool, "--summaries", os.path.join(tmp, single)])
-            if proc.returncode != 0:
-                print(f"single-TU {single} should be clean:", proc.stdout)
-                return 1
-
-        # Pass 2: the link step joins the halves into one finding.
-        proc = run([tool] + summaries)
-
+    # Together, the link step joins the halves into one finding.
+    proc = run([tool] + a + b)
     if proc.returncode != 1:
-        print("expected exit 1 from linked summaries, got", proc.returncode)
+        print("expected exit 1 from the linked files, got", proc.returncode)
         print(proc.stdout, proc.stderr)
         return 1
     wanted = "[hotpath/heap-alloc]"
     chain = "fx::Root::run -> fx::Worker::spin"
     if wanted not in proc.stdout or chain not in proc.stdout:
-        print("missing cross-TU finding or chain in output:")
+        print("missing cross-file finding or chain in output:")
         print(proc.stdout)
         return 1
     if "1 new finding(s)" not in proc.stdout:
         print("expected exactly one finding:")
         print(proc.stdout)
         return 1
-    print("cross-TU two-pass link OK")
+    print("cross-file link OK")
     return 0
 
 

@@ -163,42 +163,6 @@ TEST(FluidEquivalenceTest, FluidRunsAreDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(FluidEquivalenceTest, BurstEngineRunsAndIsDeterministic) {
-  auto run_once = [] {
-    auto s = ScenarioBuilder(engine_config(TrafficEngine::kBurst, traffic::TrafficModel::kVbr))
-                 .topology_a(TopologyAOptions{})
-                 .build();
-    s->run();
-    return fingerprint(*s);
-  };
-  const std::string fp = run_once();
-  EXPECT_EQ(fp, run_once());
-  // Trains still drive the full closed loop to non-trivial subscriptions.
-  auto s = ScenarioBuilder(engine_config(TrafficEngine::kBurst, traffic::TrafficModel::kVbr))
-               .topology_a(TopologyAOptions{})
-               .build();
-  s->run();
-  for (const auto& r : s->results()) {
-    EXPECT_GT(r.final_subscription, 0) << r.name;
-  }
-}
-
-TEST(FluidEquivalenceTest, BurstTrainOfOneIsThePacketEngine) {
-  // One-packet trains are the per-packet model: same source, same random
-  // stream, same draws in the same order, so the closed loop is identical.
-  for (const auto model : {traffic::TrafficModel::kCbr, traffic::TrafficModel::kVbr}) {
-    ScenarioConfig burst = engine_config(TrafficEngine::kBurst, model);
-    burst.traffic.burst_train = 1;
-    auto packet = ScenarioBuilder(engine_config(TrafficEngine::kPacket, model))
-                      .topology_a(TopologyAOptions{})
-                      .build();
-    auto trains = ScenarioBuilder(burst).topology_a(TopologyAOptions{}).build();
-    packet->run();
-    trains->run();
-    EXPECT_EQ(fingerprint(*packet), fingerprint(*trains)) << static_cast<int>(model);
-  }
-}
-
 TEST(FluidEquivalenceTest, NonDividingFluidStepIsRejected) {
   ScenarioConfig cfg = engine_config(TrafficEngine::kFluid, traffic::TrafficModel::kCbr);
   cfg.traffic.fluid_step = sim::Time::milliseconds(33);  // does not divide 1 s

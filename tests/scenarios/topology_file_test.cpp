@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,23 @@ TEST(TopologyParseTest, SemanticErrorsNameTheOffendingLine) {
       parse_topology("node a\nnode b\nsource 0 a\nreceiver b 0\ncontroller ghost\n");
   ASSERT_FALSE(ctrl.ok());
   EXPECT_NE(ctrl.error.find("line 5"), std::string::npos) << ctrl.error;
+
+  // A second source for one session: both would send, and the tree would
+  // root at the last. The error names both lines.
+  const auto twice = parse_topology(
+      "node s\nnode a\nlink s a 1Mbps 5ms\nreceiver a 0\ncontroller s\n"
+      "source 0 s\nsource 0 a\n");
+  ASSERT_FALSE(twice.ok());
+  EXPECT_NE(twice.error.find("line 7: session 0 already has a source (line 6)"),
+            std::string::npos)
+      << twice.error;
+
+  // The engines are packet and fluid; anything else names its line.
+  const auto burst = parse_topology(
+      "node a\nnode b\nsource 0 a\nreceiver b 0\ncontroller a\ntraffic burst train 4\n");
+  ASSERT_FALSE(burst.ok());
+  EXPECT_NE(burst.error.find("line 6: unknown traffic engine 'burst'"), std::string::npos)
+      << burst.error;
 }
 
 TEST(TopologyParseTest, RejectsBadSessionIds) {
@@ -308,8 +326,13 @@ TEST(FromDescriptionTest, UnreachableReceiverThrows) {
       "node src\nnode island\nsource 0 src\nreceiver island 0\ncontroller src\n");
   ASSERT_TRUE(parsed.ok());
   ScenarioConfig config;
-  EXPECT_THROW(Scenario::from_description(config, *parsed.description),
-               std::invalid_argument);
+  try {
+    (void)Scenario::from_description(config, *parsed.description);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    // The message points at the receiver's line.
+    EXPECT_STREQ(e.what(), "line 4: receiver 'island' unreachable from source");
+  }
 }
 
 }  // namespace

@@ -31,13 +31,12 @@ struct Bench {
     });
   }
 
-  [[nodiscard]] LayeredSource::Config config(TrafficModel model, int train) const {
+  [[nodiscard]] LayeredSource::Config config(TrafficModel model) const {
     LayeredSource::Config cfg;
     cfg.session = 0;
     cfg.node = src;
     cfg.model = model;
     cfg.peak_to_mean = 3.0;
-    cfg.train_packets = train;
     return cfg;
   }
 
@@ -64,51 +63,35 @@ struct Bench {
   std::map<net::LayerId, std::set<std::int64_t>> emit_times;  ///< distinct sent_at ns
 };
 
-/// Every case runs at two train sizes: SourceFixture is the per-packet model
-/// (1 packet per scheduler event), BurstFixture the burst engine's default
-/// trains (4).
-template <int Train>
-struct TrainFixture : ::testing::Test {
-  static constexpr int kTrain = Train;
-};
-using SourceFixture = TrainFixture<1>;
-using BurstFixture = TrainFixture<4>;
+struct SourceFixture : ::testing::Test {};
 
-void cbr_rates_match_spec(int train) {
+TEST_F(SourceFixture, CbrRatesMatchSpec) {
   Bench bench;
-  LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kCbr, train)};
+  LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kCbr)};
   source.start();
   bench.simulation.run_until(100_s);
-  // Layer 1: 4 pps, layer 6: 128 pps; allow the startup stagger margin
-  // (trains quantize the tail to whole trains).
+  // Layer 1: 4 pps, layer 6: 128 pps; allow the startup stagger margin.
   EXPECT_NEAR(bench.received[1], 400, 8);
   EXPECT_NEAR(bench.received[2], 800, 8);
   EXPECT_NEAR(bench.received[6], 12800, 40);
 }
 
-TEST_F(SourceFixture, CbrRatesMatchSpec) { cbr_rates_match_spec(kTrain); }
-TEST_F(BurstFixture, CbrMeanRatesMatchSpec) { cbr_rates_match_spec(kTrain); }
-
-void packets_arrive_in_trains_of_k(int train) {
+TEST_F(SourceFixture, PacketsArriveInTrainsOfK) {
   Bench bench;
-  LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kCbr, train)};
+  LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kCbr)};
   source.start();
   bench.simulation.run_until(100_s);
-  // Every scheduler event stamps its whole K-train with one sent_at, so the
-  // number of distinct emission instants is ~count/K: the event-load
-  // division the burst engine exists for.
+  // Trains of one packet: every scheduler event stamps its packet with its
+  // own sent_at, so a layer has as many distinct emission instants as packets.
   for (const auto& [layer, count] : bench.received) {
     const auto events = static_cast<int>(bench.emit_times[layer].size());
-    EXPECT_NEAR(events * train, count, train) << "layer " << int(layer);
+    EXPECT_NEAR(events, count, 1) << "layer " << int(layer);
   }
 }
 
-TEST_F(SourceFixture, PacketsArriveInTrainsOfK) { packets_arrive_in_trains_of_k(kTrain); }
-TEST_F(BurstFixture, PacketsArriveInTrainsOfK) { packets_arrive_in_trains_of_k(kTrain); }
-
-void sequence_numbers_are_dense(int train) {
+TEST_F(SourceFixture, SequenceNumbersAreDense) {
   Bench bench;
-  auto cfg = bench.config(TrafficModel::kCbr, train);
+  auto cfg = bench.config(TrafficModel::kCbr);
   cfg.stop = 50_s;
   LayeredSource source{bench.simulation, bench.network, cfg};
   source.start();
@@ -121,12 +104,9 @@ void sequence_numbers_are_dense(int train) {
   }
 }
 
-TEST_F(SourceFixture, SequenceNumbersAreDense) { sequence_numbers_are_dense(kTrain); }
-TEST_F(BurstFixture, SequenceNumbersAreDense) { sequence_numbers_are_dense(kTrain); }
-
-void vbr_mean_rate_matches_model(int train) {
+TEST_F(SourceFixture, VbrMeanRateMatchesCbr) {
   Bench bench;
-  LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kVbr, train)};
+  LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kVbr)};
   source.start();
   bench.simulation.run_until(400_s);
   // E[n] = A per second; over 400 s layer 1 should be ~1600 packets.
@@ -134,14 +114,11 @@ void vbr_mean_rate_matches_model(int train) {
   EXPECT_NEAR(bench.received[3], 6400, 640);
 }
 
-TEST_F(SourceFixture, VbrMeanRateMatchesCbr) { vbr_mean_rate_matches_model(kTrain); }
-TEST_F(BurstFixture, VbrMeanRateMatchesModel) { vbr_mean_rate_matches_model(kTrain); }
-
-void vbr_is_burstier_than_cbr(int train) {
+TEST_F(SourceFixture, VbrIsBurstierThanCbr) {
   // Count per-second emissions for layer 1 and check the peak is near the
   // model's burst size P*A+1-P = 10 for P=3, A=4.
   Bench bench;
-  LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kVbr, train)};
+  LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kVbr)};
   source.start();
   std::map<std::int64_t, int> per_second;
   bench.network.set_local_sink(bench.dst, [&](const net::PacketRef& p) {
@@ -156,30 +133,24 @@ void vbr_is_burstier_than_cbr(int train) {
   EXPECT_LE(peak, 21);  // bounded by two adjacent bursts
 }
 
-TEST_F(SourceFixture, VbrIsBurstierThanCbr) { vbr_is_burstier_than_cbr(kTrain); }
-TEST_F(BurstFixture, VbrIsBurstierThanCbr) { vbr_is_burstier_than_cbr(kTrain); }
-
-void stop_time_halts_emission(int train) {
+TEST_F(SourceFixture, StopTimeHaltsEmission) {
   Bench bench;
-  auto cfg = bench.config(TrafficModel::kCbr, train);
+  auto cfg = bench.config(TrafficModel::kCbr);
   cfg.stop = 10_s;
   LayeredSource source{bench.simulation, bench.network, cfg};
   source.start();
   bench.simulation.run_until(100_s);
-  EXPECT_NEAR(bench.received[1], 40, 4 + train);  // ~4 pps for 10 s, in whole trains
+  EXPECT_NEAR(bench.received[1], 40, 5);  // ~4 pps for 10 s
 }
 
-TEST_F(SourceFixture, StopTimeHaltsEmission) { stop_time_halts_emission(kTrain); }
-TEST_F(BurstFixture, StopTimeHaltsEmission) { stop_time_halts_emission(kTrain); }
-
-void vbr_stop_boundary_is_strict(int train) {
+TEST_F(SourceFixture, VbrStopBoundaryIsStrict) {
   // Regression pin for the per-emit stop guard: a VBR interval schedules its
   // n packets up to a second ahead, so an interval straddling config.stop has
   // emits queued past the boundary. Those must be suppressed (strictly
   // now < stop), while packets of the straddling interval BEFORE the boundary
   // still flow — the final partial interval is not dropped wholesale.
   Bench bench;
-  auto cfg = bench.config(TrafficModel::kVbr, train);
+  auto cfg = bench.config(TrafficModel::kVbr);
   cfg.stop = Time::milliseconds(10'500);
   LayeredSource source{bench.simulation, bench.network, cfg};
   sim::Time last_emit = sim::Time::zero();
@@ -209,14 +180,11 @@ void vbr_stop_boundary_is_strict(int train) {
   EXPECT_EQ(total, total_after);
 }
 
-TEST_F(SourceFixture, VbrStopBoundaryIsStrict) { vbr_stop_boundary_is_strict(kTrain); }
-TEST_F(BurstFixture, VbrStopBoundaryIsStrict) { vbr_stop_boundary_is_strict(kTrain); }
-
-void deterministic_across_runs(int train) {
+TEST_F(SourceFixture, DeterministicAcrossRuns) {
   // Two simulations with the same seed emit identical packet counts.
-  const auto run_once = [train](std::uint64_t seed) {
+  const auto run_once = [](std::uint64_t seed) {
     Bench bench{seed};
-    LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kVbr, train)};
+    LayeredSource source{bench.simulation, bench.network, bench.config(TrafficModel::kVbr)};
     source.start();
     bench.simulation.run_until(60_s);
     int count = 0;
@@ -225,11 +193,6 @@ void deterministic_across_runs(int train) {
   };
   EXPECT_EQ(run_once(5), run_once(5));
   EXPECT_NE(run_once(5), run_once(6));  // different seed, different bursts
-}
-
-TEST_F(SourceFixture, DeterministicAcrossRuns) { deterministic_across_runs(kTrain); }
-TEST_F(BurstFixture, DeterministicAcrossRunsAndSeedSensitive) {
-  deterministic_across_runs(kTrain);
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
-// toposense_hotpath data model — the per-TU summary a summarize pass extracts
-// and the link pass consumes. The two passes only communicate through
-// TuSummary (serialized to JSON between processes, round-tripped in memory in
-// single-process mode), which is the seam where a Clang libTooling frontend
-// can substitute for the built-in syntactic summarizer: any producer that
-// emits the same JSON plugs into the same link step.
+// toposense_hotpath data model — the per-file summary the summarize pass
+// extracts and the link pass consumes. The two passes only communicate
+// through TuSummary, one per scanned file.
 #pragma once
 
 #include <cstddef>
@@ -66,15 +63,6 @@ struct TuSummary {
 
 /// Summarize pass: parse one already-loaded file into a TU summary.
 [[nodiscard]] TuSummary summarize(const lint::SourceFile& file);
-
-/// JSON (de)serialization of summary sets. The format is an array of TU
-/// summary objects; see docs/static-analysis.md for the schema.
-[[nodiscard]] std::string summaries_to_json(const std::vector<TuSummary>& summaries);
-/// Throws std::runtime_error on malformed input.
-[[nodiscard]] std::vector<TuSummary> summaries_from_json(const std::string& json);
-
-/// Parses the "file" entries out of a CMake compile_commands.json.
-[[nodiscard]] std::vector<std::string> compile_commands_files(const std::string& json);
 
 /// Link-pass configuration.
 struct AnalyzeOptions {

@@ -9,9 +9,7 @@
 // {` shape (including ctor-init lists and trailing-return types). Constructs
 // it cannot attribute (lambda objects invoked through locals, SmallCallback's
 // type-erased ops table) surface at the link step as informational frontier
-// notes rather than silent gaps. The JSON summary it emits is the contract: a
-// Clang libTooling summarizer can replace this file without touching the
-// link step.
+// notes rather than silent gaps.
 #include <cctype>
 #include <cstddef>
 #include <string>

@@ -5,9 +5,6 @@
 //
 // Usage:
 //   toposense_hotpath [options] <file-or-dir>...
-//     --summarize --out FILE   summarize pass only: write per-TU JSON summaries
-//     --summaries FILE         link pre-built summaries (repeatable)
-//     --compile-commands FILE  add the TUs listed in a compile_commands.json
 //     --baseline FILE          grandfathered findings; only new ones fail, and
 //                              so does an entry for a scanned path that no
 //                              finding matched (stale)
@@ -23,15 +20,12 @@
 // Informational notes never gate. Run from the repository root so paths (and
 // baseline keys) are stable.
 //
-// Two-pass shape: parsed files are serialized to the JSON summary format and
-// re-parsed before linking even in single-process mode, so the wire contract
-// between the passes is exercised on every run.
+// Two passes: each file is summarized on its own, then the link pass joins
+// the per-file summaries into one call graph.
 #include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,13 +40,9 @@ namespace {
 
 struct Options {
   std::vector<fs::path> roots;
-  std::vector<std::string> summary_paths;
-  std::string compile_commands_path;
   std::string baseline_path;
   std::string write_baseline_path;
   std::string sarif_path;
-  std::string out_path;
-  bool summarize_only{false};
   bool reachable{false};
   bool notes{false};
   bool list_rules{false};
@@ -61,10 +51,8 @@ struct Options {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--summarize --out FILE] [--summaries FILE]...\n"
-               "           [--compile-commands FILE] [--baseline FILE]\n"
-               "           [--write-baseline FILE] [--sarif FILE] [--reachable]\n"
-               "           [--drop-root NAME]... [--notes] [--list-rules]\n"
+               "usage: %s [--baseline FILE] [--write-baseline FILE] [--sarif FILE]\n"
+               "           [--reachable] [--drop-root NAME]... [--notes] [--list-rules]\n"
                "           <file-or-dir>...\n",
                argv0);
   return 2;
@@ -78,17 +66,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
       into = argv[++i];
       return true;
     };
-    if (arg == "--summarize") {
-      opts.summarize_only = true;
-    } else if (arg == "--out") {
-      if (!value(opts.out_path)) return false;
-    } else if (arg == "--summaries") {
-      std::string path;
-      if (!value(path)) return false;
-      opts.summary_paths.push_back(path);
-    } else if (arg == "--compile-commands") {
-      if (!value(opts.compile_commands_path)) return false;
-    } else if (arg == "--baseline") {
+    if (arg == "--baseline") {
       if (!value(opts.baseline_path)) return false;
     } else if (arg == "--write-baseline") {
       if (!value(opts.write_baseline_path)) return false;
@@ -111,17 +89,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.roots.emplace_back(arg);
     }
   }
-  if (opts.summarize_only && opts.out_path.empty()) return false;
-  return opts.list_rules || !opts.roots.empty() || !opts.summary_paths.empty() ||
-         !opts.compile_commands_path.empty();
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return opts.list_rules || !opts.roots.empty();
 }
 
 }  // namespace
@@ -154,40 +122,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (!opts.compile_commands_path.empty()) {
-      for (const std::string& file :
-           hotpath::compile_commands_files(slurp(opts.compile_commands_path))) {
-        std::error_code ec;
-        const fs::path p = fs::proximate(file, ec);
-        if (!ec && fs::is_regular_file(p) && lint::lintable(p)) paths.push_back(p);
-      }
-    }
     std::sort(paths.begin(), paths.end());
     paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
 
-    // Summarize pass over freshly parsed files.
-    std::vector<hotpath::TuSummary> parsed;
-    parsed.reserve(paths.size());
-    for (const fs::path& p : paths) parsed.push_back(hotpath::summarize(lint::load_file(p)));
-
-    if (opts.summarize_only) {
-      std::ofstream out{opts.out_path};
-      if (!out) throw std::runtime_error("cannot write '" + opts.out_path + "'");
-      out << hotpath::summaries_to_json(parsed);
-      std::printf("toposense_hotpath: summarized %zu file(s) to %s\n", parsed.size(),
-                  opts.out_path.c_str());
-      return 0;
-    }
-
-    // Link pass: round-trip the in-process summaries through the JSON wire
-    // format, then merge in any pre-built summary files.
-    std::vector<hotpath::TuSummary> summaries =
-        hotpath::summaries_from_json(hotpath::summaries_to_json(parsed));
-    for (const std::string& path : opts.summary_paths) {
-      std::vector<hotpath::TuSummary> loaded = hotpath::summaries_from_json(slurp(path));
-      summaries.insert(summaries.end(), std::make_move_iterator(loaded.begin()),
-                       std::make_move_iterator(loaded.end()));
-    }
+    // Summarize pass, one summary per file; the link pass joins them.
+    std::vector<hotpath::TuSummary> summaries;
+    summaries.reserve(paths.size());
+    for (const fs::path& p : paths) summaries.push_back(hotpath::summarize(lint::load_file(p)));
 
     const hotpath::AnalyzeResult result = hotpath::analyze(summaries, opts.analyze);
 
