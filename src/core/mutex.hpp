@@ -7,15 +7,9 @@
 // Rules of use (docs/static-analysis.md, "Thread-safety annotations"):
 //  * never hold a bare std::mutex member in simulator code — use core::Mutex
 //    so the capability has a name the analysis can attach TS_GUARDED_BY to;
-//  * lock with core::LockGuard (scoped) or core::UniqueLock (when a
-//    condition variable needs to release/reacquire);
-//  * condition-variable waits use core::ConditionVariable, which accepts a
-//    core::UniqueLock directly. Predicate loops belong in the annotated
-//    caller (`while (!ready_) cv.wait(lock);`), not in a lambda — the
-//    analysis does not propagate capabilities into closures.
+//  * lock with core::LockGuard.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "core/thread_annotations.hpp"
@@ -32,10 +26,6 @@ class TS_CAPABILITY("mutex") Mutex {
   void lock() TS_ACQUIRE() { mutex_.lock(); }
   void unlock() TS_RELEASE() { mutex_.unlock(); }
 
-  /// The wrapped std::mutex, for std machinery that needs the concrete type.
-  /// Callers must already hold or be acquiring this capability.
-  [[nodiscard]] std::mutex& native_handle() { return mutex_; }
-
  private:
   std::mutex mutex_;
 };
@@ -50,36 +40,6 @@ class TS_SCOPED_CAPABILITY LockGuard {
 
  private:
   Mutex& mutex_;
-};
-
-/// std::unique_lock over core::Mutex, for condition-variable waits. Always
-/// holds the lock for its full scope (no deferred/adopt modes — the analysis
-/// cannot track conditionally-held capabilities, and nothing here needs them).
-class TS_SCOPED_CAPABILITY UniqueLock {
- public:
-  explicit UniqueLock(Mutex& mutex) TS_ACQUIRE(mutex) : lock_{mutex.native_handle()} {}
-  ~UniqueLock() TS_RELEASE() {}  // body, not `= default`: the attribute must sit on a plain declaration
-  UniqueLock(const UniqueLock&) = delete;
-  UniqueLock& operator=(const UniqueLock&) = delete;
-
- private:
-  friend class ConditionVariable;
-  std::unique_lock<std::mutex> lock_;
-};
-
-/// std::condition_variable accepting core::UniqueLock. wait() releases and
-/// reacquires the lock internally; the analysis models the capability as held
-/// across the call, which matches the caller-visible contract (guarded state
-/// may only be *observed* before and after, exactly what a predicate loop
-/// does).
-class ConditionVariable {
- public:
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-  void wait(UniqueLock& lock) { cv_.wait(lock.lock_); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace tsim::core

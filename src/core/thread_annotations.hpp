@@ -9,7 +9,7 @@
 // `-Werror=thread-safety-analysis` so a violation is a build break, not a
 // TSan report three jobs later.
 //
-// Use core::Mutex / core::LockGuard / core::UniqueLock (core/mutex.hpp)
+// Use core::Mutex / core::LockGuard (core/mutex.hpp)
 // instead of annotating raw std::mutex members — the wrapper carries the
 // capability attributes once, so call sites stay plain C++.
 #pragma once

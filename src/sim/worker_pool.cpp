@@ -9,13 +9,13 @@ namespace tsim::sim {
 
 namespace {
 
-/// Iterations a waiting thread spins before it parks. A count, not a clock:
-/// simulator code never reads host time. At about 20 ns per pause on current
-/// x86 cores this is over a millisecond: far longer than the serial gap
-/// between two back-to-back runs (one group walk to the next), so a fluid
-/// step wakes parked workers at most once, and an idle pool still parks
-/// quickly.
-constexpr int kSpinIterations = 1 << 16;
+/// Iterations a waiting thread spins before it blocks. A count, not a clock:
+/// simulator code never reads host time. At about 22 ns per pause on current
+/// x86 cores this is about 22 microseconds: longer than most serial gaps
+/// between two runs of a fluid step (one group walk to the next), so the
+/// workers stay awake through a step, and short enough that a spinner on an
+/// oversubscribed CPU holds it from the thread it waits for only briefly.
+constexpr int kSpinIterations = 1 << 10;
 
 void spin_pause() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -23,6 +23,21 @@ void spin_pause() {
 #else
   std::this_thread::yield();
 #endif
+}
+
+/// Returns the first value of `word` other than `old`: spins, then blocks in
+/// atomic::wait until a notify follows the change. The loads keep the
+/// default seq_cst order: libstdc++'s notify skips the futex wake when its
+/// waiter count reads 0, and only seq_cst on both sides rules out a wakeup
+/// lost between the change and that check.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word, std::uint32_t old) {
+  for (int i = 0; i < kSpinIterations; ++i) {
+    const std::uint32_t value = word.load();
+    if (value != old) return value;
+    spin_pause();
+  }
+  word.wait(old);
+  return word.load();
 }
 
 }  // namespace
@@ -51,21 +66,14 @@ void WorkerPool::run_tasks(std::size_t tasks, TaskFn fn, const void* context) {
   const bool parallel = workers_ > 1 && tasks > 1;
   if (parallel) {
     if (threads_.empty()) spawn();
-    busy_workers_.store(threads_.size(), std::memory_order_relaxed);
-    publish();
+    busy_workers_.store(static_cast<std::uint32_t>(threads_.size()), std::memory_order_relaxed);
+    generation_.fetch_add(1);
+    generation_.notify_all();
   }
   run_claimed(0);
   if (parallel) {
-    // Barrier: spin first, park only if the workers are still busy.
-    for (int i = 0; i < kSpinIterations && busy_workers_.load(std::memory_order_acquire) != 0;
-         ++i) {
-      spin_pause();
-    }
-    if (busy_workers_.load(std::memory_order_acquire) != 0) {
-      core::UniqueLock lock{mutex_};
-      caller_parked_ = true;
-      while (busy_workers_.load(std::memory_order_acquire) != 0) batch_done_.wait(lock);
-      caller_parked_ = false;
+    for (std::uint32_t busy = busy_workers_.load(); busy != 0;) {
+      busy = await_change(busy_workers_, busy);
     }
   }
   std::exception_ptr error;
@@ -79,20 +87,8 @@ void WorkerPool::run_tasks(std::size_t tasks, TaskFn fn, const void* context) {
   }
 }
 
-void WorkerPool::publish() {
-  // The bump happens under the mutex a parking worker re-checks it under,
-  // so a worker is either seen parked here or sees the new generation.
-  bool wake = false;
-  {
-    core::LockGuard lock{mutex_};
-    generation_.fetch_add(1, std::memory_order_release);
-    wake = parked_workers_ != 0;
-  }
-  if (wake) work_ready_.notify_all();
-}
-
 void WorkerPool::spawn() {
-  const std::uint64_t seen = generation_.load(std::memory_order_relaxed);
+  const std::uint32_t seen = generation_.load(std::memory_order_relaxed);
   threads_.reserve(workers_ - 1);
   for (std::size_t worker = 1; worker < workers_; ++worker) {
     threads_.emplace_back([this, worker, seen] { worker_loop(worker, seen); });
@@ -102,41 +98,19 @@ void WorkerPool::spawn() {
 void WorkerPool::stop() {
   if (threads_.empty()) return;
   task_fn_ = nullptr;
-  publish();
+  generation_.fetch_add(1);
+  generation_.notify_all();
   for (std::thread& thread : threads_) thread.join();
   threads_.clear();
 }
 
-void WorkerPool::worker_loop(std::size_t worker, std::uint64_t seen) {
+void WorkerPool::worker_loop(std::size_t worker, std::uint32_t seen) {
   for (;;) {
-    seen = await_batch(seen);
+    seen = await_change(generation_, seen);
     if (task_fn_ == nullptr) return;
     run_claimed(worker);
-    // The last worker out takes the mutex after its decrement, so a caller
-    // that parked on a non-zero count before it is seen and woken, and one
-    // that parks after it reads zero and never waits.
-    if (busy_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      bool wake = false;
-      {
-        core::LockGuard lock{mutex_};
-        wake = caller_parked_;
-      }
-      if (wake) batch_done_.notify_one();
-    }
+    if (busy_workers_.fetch_sub(1) == 1) busy_workers_.notify_one();
   }
-}
-
-std::uint64_t WorkerPool::await_batch(std::uint64_t seen) {
-  for (int i = 0; i < kSpinIterations; ++i) {
-    const std::uint64_t generation = generation_.load(std::memory_order_acquire);
-    if (generation != seen) return generation;
-    spin_pause();
-  }
-  core::UniqueLock lock{mutex_};
-  ++parked_workers_;
-  while (generation_.load(std::memory_order_acquire) == seen) work_ready_.wait(lock);
-  --parked_workers_;
-  return generation_.load(std::memory_order_acquire);
 }
 
 void WorkerPool::run_claimed(std::size_t worker) {

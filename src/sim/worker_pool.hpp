@@ -25,18 +25,19 @@ namespace tsim::sim {
 ///
 /// Lifecycle: the threads are spawned by the first run with more than one
 /// task, never by the constructor, so a pool that only ever sees single-task
-/// runs (or has one worker) costs no threads. Between runs a worker spins for
-/// a bounded number of iterations, then parks on a condition variable; the
-/// publisher only broadcasts when a worker is parked, so back-to-back runs
-/// never pay a futex wake. If a task throws, the remaining tasks still run;
-/// after the barrier the pool stops and joins its threads, then rethrows the
-/// first exception. The next multi-task run spawns them again.
+/// runs (or has one worker) costs no threads. A waiting thread, a worker
+/// between runs or the caller at the barrier, spins briefly and then blocks
+/// in std::atomic::wait on the word it waits for; the publisher and the last
+/// worker out call notify, which costs no syscall when nobody blocks. If a
+/// task throws, the remaining tasks still run; after the barrier the pool
+/// stops and joins its threads, then rethrows the first exception. The next
+/// multi-task run spawns them again.
 ///
 /// Threading model (docs/sharding.md): the batch (task function, context,
 /// count) is written by the calling thread while every worker is idle and
-/// published by the release increment of `generation_`; workers read it only
-/// after an acquire load observed that increment. Everything the parking
-/// handshake shares is guarded by `mutex_` and annotated TS_GUARDED_BY.
+/// published by the increment of `generation_`; workers read it only after
+/// they observed that increment. The first task error is guarded by
+/// `mutex_` and annotated TS_GUARDED_BY.
 class WorkerPool {
  public:
   /// `workers` counts the calling thread: 0 picks available_cpus(), 1 runs
@@ -71,16 +72,11 @@ class WorkerPool {
   using TaskFn = void (*)(const void* context, std::size_t task, std::size_t worker);
 
   void run_tasks(std::size_t tasks, TaskFn fn, const void* context) TS_EXCLUDES(mutex_);
-  /// Publishes the batch in task_fn_/task_context_/task_count_ to every
-  /// spawned worker and wakes the parked ones.
-  void publish() TS_EXCLUDES(mutex_);
   void spawn();
   /// Stops and joins the threads (a batch with no task function is the stop
   /// request). Idempotent.
-  void stop() TS_EXCLUDES(mutex_);
-  void worker_loop(std::size_t worker, std::uint64_t seen) TS_EXCLUDES(mutex_);
-  /// Spins, then parks, until `generation_` moves past `seen`; returns it.
-  std::uint64_t await_batch(std::uint64_t seen) TS_EXCLUDES(mutex_);
+  void stop();
+  void worker_loop(std::size_t worker, std::uint32_t seen) TS_EXCLUDES(mutex_);
   /// Claims and runs tasks until the cursor passes the batch.
   HOT_PATH void run_claimed(std::size_t worker) TS_EXCLUDES(mutex_);
 
@@ -91,16 +87,16 @@ class WorkerPool {
   const void* task_context_{nullptr};
   std::size_t task_count_{0};
   std::atomic<std::size_t> next_task_{0};  ///< claim cursor
-  std::atomic<std::uint64_t> generation_{0};
-  /// Spawned workers that have not finished the current batch.
-  std::atomic<std::size_t> busy_workers_{0};
+  /// The two words threads wait on: workers on `generation_`, the caller on
+  /// `busy_workers_` (spawned workers that have not finished the current
+  /// batch). 32 bits, because libstdc++ waits on a 4-byte atomic's own
+  /// address with a futex and on wider ones through a shared proxy table.
+  /// A generation cannot wrap back to the one a worker waits past: the
+  /// barrier makes every worker see every generation.
+  std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> busy_workers_{0};
 
-  /// --- the parking handshake, all guarded by mutex_ -----------------------
   core::Mutex mutex_;
-  core::ConditionVariable work_ready_;
-  core::ConditionVariable batch_done_;
-  std::size_t parked_workers_ TS_GUARDED_BY(mutex_){0};
-  bool caller_parked_ TS_GUARDED_BY(mutex_){false};
   std::exception_ptr first_error_ TS_GUARDED_BY(mutex_);
 
   /// Spawned and joined by the calling thread only; declared after

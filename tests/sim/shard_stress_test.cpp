@@ -82,8 +82,8 @@ struct Mesh {
 };
 
 /// Drives the mesh in `segments` separate run_until calls so the worker pool
-/// parks on the condition variable and is re-armed repeatedly — the claim
-/// cursor, generation counter, and running-worker count all cycle each time.
+/// waits between runs and is re-armed repeatedly — the claim cursor,
+/// generation counter, and running-worker count all cycle each time.
 std::uint64_t run_segmented(std::size_t shards, std::size_t threads, int segments) {
   Mesh mesh{shards, threads};
   const std::int64_t stop_ns = Mesh::kStop.as_nanoseconds();

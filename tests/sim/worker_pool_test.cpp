@@ -1,14 +1,17 @@
 // WorkerPool tests, built into the shard tier so the CI ThreadSanitizer gate
-// runs them: the claim cursor, the spin-then-park handshake, the barrier, the
-// error path that stops and joins the threads, and the respawn after it.
+// runs them: the claim cursor, the spin-then-wait handshake, the barrier, the
+// error path that stops and joins the threads, the respawn after it, and a
+// pool with more threads than CPUs.
 
 #include "sim/worker_pool.hpp"
 
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -89,8 +92,8 @@ TEST_P(WorkerPoolSizes, RunsAfterTheWorkersParked) {
   WorkerPool pool{GetParam()};
   for (int round = 0; round < 4; ++round) {
     EXPECT_EQ(run_counts(pool, 12), std::vector<int>(12, 1));
-    // Long enough for every worker to finish spinning and park, so the next
-    // run must wake them through the condition variable.
+    // Long enough for every worker to finish spinning and block in
+    // atomic::wait, so the next run must wake them through notify_all.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 }
@@ -133,13 +136,8 @@ TEST(WorkerPoolTest, AutoSizeCountsAtLeastTheCallingThread) {
 }
 
 #if defined(__linux__)
-TEST(WorkerPoolTest, AutoSizeFollowsTheAffinityMask) {
-  cpu_set_t allowed;
-  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
-  EXPECT_EQ(WorkerPool::available_cpus(), static_cast<std::size_t>(CPU_COUNT(&allowed)));
-
-  // Restricted to one CPU, an auto-sized pool runs on the calling thread
-  // alone, however many CPUs the machine has.
+/// A mask holding only the first CPU of `allowed`.
+cpu_set_t first_cpu_of(const cpu_set_t& allowed) {
   cpu_set_t one;
   CPU_ZERO(&one);
   for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
@@ -148,12 +146,76 @@ TEST(WorkerPoolTest, AutoSizeFollowsTheAffinityMask) {
       break;
     }
   }
+  return one;
+}
+
+TEST(WorkerPoolTest, AutoSizeFollowsTheAffinityMask) {
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  EXPECT_EQ(WorkerPool::available_cpus(), static_cast<std::size_t>(CPU_COUNT(&allowed)));
+
+  // Restricted to one CPU, an auto-sized pool runs on the calling thread
+  // alone, however many CPUs the machine has.
+  const cpu_set_t one = first_cpu_of(allowed);
   ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
   const std::size_t restricted = WorkerPool::available_cpus();
   const std::size_t workers = WorkerPool{}.workers();
   ASSERT_EQ(sched_setaffinity(0, sizeof allowed, &allowed), 0);
   EXPECT_EQ(restricted, 1u);
   EXPECT_EQ(workers, 1u);
+}
+
+/// About 100 us of dependent integer work that the compiler cannot fold.
+std::uint64_t busy_work(std::uint64_t seed) {
+  std::uint64_t x = seed | 1;
+  for (int i = 0; i < (1 << 15); ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+TEST(WorkerPoolTest, MoreThreadsThanCpusKeepPaceWithOneWorker) {
+  // On one CPU a forced 4-worker pool does the same work as a 1-worker pool,
+  // so it must not take much longer: a waiting thread that held the CPU for
+  // long would stall the thread it waits for.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  const cpu_set_t one = first_cpu_of(allowed);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  constexpr std::size_t kTasks = 8;
+  std::vector<std::uint64_t> sinks(kTasks, 0);
+  std::vector<double> serial_us;
+  std::vector<double> forced_us;
+  {
+    // The forced pool's first run spawns its workers, which inherit the
+    // one-CPU mask.
+    WorkerPool serial{1};
+    WorkerPool forced{4};
+    const auto timed_run = [&sinks](WorkerPool& pool, int run) {
+      const auto start = std::chrono::steady_clock::now();
+      pool.run(kTasks, [&sinks, run](std::size_t task, std::size_t) {
+        sinks[task] += busy_work(static_cast<std::uint64_t>(run) * kTasks + task);
+      });
+      return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
+          .count();
+    };
+    for (int run = 0; run < 200; ++run) {
+      serial_us.push_back(timed_run(serial, run));
+      forced_us.push_back(timed_run(forced, run));
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof allowed, &allowed), 0);
+  const double serial = median(serial_us);
+  const double forced = median(forced_us);
+  EXPECT_LE(forced, 3.0 * serial) << "1 worker: " << std::lround(serial) << " us, 4 workers: "
+                                  << std::lround(forced) << " us (medians of 200 runs on one CPU)";
 }
 #endif
 
