@@ -4,7 +4,7 @@
 //
 // Usage:
 //   toposense_sim                     # runs a built-in sample topology
-//   toposense_sim my_topology.txt    # runs a topology file
+//   toposense_sim my_topology.txt    # runs a topology file (examples/*.topo)
 //   toposense_sim file.txt 600 vbr3  # duration [s] and traffic model
 //                                      (cbr | vbr3 | vbr6)
 //   toposense_sim --audit[=MODE] ... # invariant auditing: off | log | assert
@@ -12,9 +12,9 @@
 //                                      are printed as a JSON report and make
 //                                      the exit code non-zero.
 //
-// Exit: 0 ok, 1 unreadable file or a topology that does not parse or build,
-// 2 bad command line, 3 audit violations. The duration is seconds in
-// (0, 9.2e9], the topology language's time limit.
+// Exit: 0 ok, 1 a file it cannot read (a directory, say) or a topology that
+// does not parse or build, 2 bad command line, 3 audit violations. The
+// duration is seconds in (0, 9.2e9], the topology language's time limit.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -128,8 +128,9 @@ int main(int argc, char** argv) {
   std::string source_name = "<built-in sample>";
   if (!positional.empty()) {
     std::ifstream file{positional[0]};
-    if (!file) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", positional[0]);
+    file.peek();  // a directory opens like a file, and its first read sets badbit
+    if (!file.is_open() || file.bad()) {
+      std::fprintf(stderr, "error: cannot read '%s'\n", positional[0]);
       return 1;
     }
     std::ostringstream buffer;

@@ -41,9 +41,9 @@ void ControllerAgent::set_enabled(bool enabled) {
   enabled_ = enabled;
   if (!enabled_) {
     ++outages_;
-    // The process died: its in-memory report history dies with it. The
-    // ledger and wire counters survive by design (see the header contract) —
-    // they are the durable billing/audit record, not learned state.
+    // The process died: its in-memory report history dies with it. The wire
+    // counters survive by design (see the header contract) — they are the
+    // durable audit record, not learned state.
     reports_.clear();
   }
 }
@@ -152,7 +152,6 @@ void ControllerAgent::handle_report(const net::Packet& packet) {
   const auto* report = dynamic_cast<const transport::ReceiverReport*>(packet.control.get());
   if (report == nullptr) return;
   ++reports_received_;
-  ledger_.on_report(*report);
   auto& history = reports_[key_of(report->session, report->receiver)];
   history.push_back(*report);
   while (history.size() > config_.report_history_limit) history.pop_front();

@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "control/accounting.hpp"
 #include "control/adaptation_controller.hpp"
 #include "core/toposense.hpp"
 #include "net/network.hpp"
@@ -72,12 +71,10 @@ class ControllerAgent final {
   /// dying, so the in-memory report history dies with it and must be
   /// re-learned after a restart (report_history_size() drops to zero, and the
   /// first post-restart intervals run on whatever fresh reports have arrived
-  /// since). The accounting ledger() and the reports_received /
-  /// suggestions_sent / intervals_run counters are durable billing and audit
-  /// records — deliberately *retained* across outages, as a billing system
-  /// that forgot charges on every crash would be useless. Session caps and
-  /// border registrations (multi-domain state) are configuration, not learned
-  /// state, and also survive.
+  /// since). The reports_received / suggestions_sent / intervals_run counters
+  /// are durable audit records — deliberately *retained* across outages.
+  /// Session caps and border registrations (multi-domain state) are
+  /// configuration, not learned state, and also survive.
   void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] std::uint64_t outages() const { return outages_; }
@@ -93,9 +90,6 @@ class ControllerAgent final {
   /// Reports currently held in the learning history (all receivers). Zero
   /// right after an outage began — see set_enabled.
   [[nodiscard]] std::size_t report_history_size() const;
-
-  /// Usage accounting built from the received reports (§II billing).
-  [[nodiscard]] const AccountingLedger& ledger() const { return ledger_; }
 
   /// --- Inter-domain summary support (driven by DomainManager) -------------
 
@@ -114,9 +108,8 @@ class ControllerAgent final {
                                                                sim::Time window_end) const;
 
   /// Folds a child-domain demand summary into the report history as a
-  /// synthetic report from the border pseudo-receiver. Does not touch the
-  /// billing ledger or reports_received (those count real wire reports; the
-  /// child domain already bills its own receivers).
+  /// synthetic report from the border pseudo-receiver. Does not touch
+  /// reports_received, which counts only real wire reports.
   void ingest_border_summary(const transport::DomainSummary& summary);
   [[nodiscard]] std::uint64_t summaries_ingested() const { return summaries_ingested_; }
 
@@ -180,7 +173,6 @@ class ControllerAgent final {
   /// (session<<32|receiver) -> recent reports, newest at the back.
   std::unordered_map<std::uint64_t, std::deque<transport::ReceiverReport>> reports_;
   core::AlgorithmOutput last_output_;
-  AccountingLedger ledger_;
   std::uint64_t reports_received_{0};
   std::uint64_t suggestions_sent_{0};
   std::uint32_t epoch_{0};

@@ -14,8 +14,10 @@ FaultInjector::FaultInjector(sim::Simulation& simulation, net::Network& network,
       plan_{std::move(plan)},
       hooks_{std::move(hooks)},
       suggestion_rng_{simulation.rng_stream("fault/suggestion-drop")} {
-  const std::string problem = plan_.validate();
-  if (!problem.empty()) throw std::invalid_argument("FaultPlan: " + problem);
+  if (const auto problem = plan_.validate()) {
+    throw std::invalid_argument("FaultPlan: fault event " + std::to_string(problem->event) +
+                                ": " + problem->message);
+  }
   // Resolve every link reference eagerly so a typo fails at construction, not
   // halfway through a long run.
   for (const FaultEvent& e : plan_.events()) {

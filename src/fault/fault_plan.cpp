@@ -89,30 +89,29 @@ std::vector<FaultEvent> FaultPlan::sorted_events() const {
   return sorted;
 }
 
-std::string FaultPlan::validate() const {
+std::optional<FaultPlan::Problem> FaultPlan::validate() const {
   const auto is_link_fault = [](FaultKind k) {
     return k == FaultKind::kLinkDown || k == FaultKind::kLinkUp ||
            k == FaultKind::kLinkFlap || k == FaultKind::kLinkLossy;
   };
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& e = events_[i];
-    const std::string where = "fault event " + std::to_string(i) + ": ";
-    if (e.at < sim::Time::zero()) return where + "negative time";
+    if (e.at < sim::Time::zero()) return Problem{i, "negative time"};
     if (is_link_fault(e.kind) && (e.a.empty() || e.b.empty())) {
-      return where + "link fault needs two endpoint names";
+      return Problem{i, "link fault needs two endpoint names"};
     }
     switch (e.kind) {
       case FaultKind::kLinkFlap:
-        if (e.period <= sim::Time::zero()) return where + "flap period must be positive";
-        if (e.duty < 0.0 || e.duty > 1.0) return where + "flap duty must be in [0, 1]";
-        if (e.until <= e.at) return where + "flap window must end after it starts";
+        if (e.period <= sim::Time::zero()) return Problem{i, "flap period must be positive"};
+        if (e.duty < 0.0 || e.duty > 1.0) return Problem{i, "flap duty must be in [0, 1]"};
+        if (e.until <= e.at) return Problem{i, "flap window must end after it starts"};
         break;
       case FaultKind::kLinkLossy:
       case FaultKind::kSuggestionDrop:
         if (e.probability < 0.0 || e.probability > 1.0) {
-          return where + "probability must be in [0, 1]";
+          return Problem{i, "probability must be in [0, 1]"};
         }
-        if (e.until <= e.at) return where + "loss window must end after it starts";
+        if (e.until <= e.at) return Problem{i, "loss window must end after it starts"};
         break;
       default:
         break;
@@ -122,33 +121,35 @@ std::string FaultPlan::validate() const {
   // Down/up pairing per link (both directions share one physical link): a
   // second down while already down means two outage schedules overlap, and an
   // up with no preceding down repairs nothing — both are authoring mistakes.
-  std::map<std::pair<std::string, std::string>, std::vector<std::pair<sim::Time, bool>>>
-      updown;
-  for (const FaultEvent& e : events_) {
+  // Each link's schedule holds the indices of its down and up events.
+  std::map<std::pair<std::string, std::string>, std::vector<std::size_t>> updown;
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const FaultEvent& e = events_[i];
     if (e.kind != FaultKind::kLinkDown && e.kind != FaultKind::kLinkUp) continue;
     auto key = e.a < e.b ? std::make_pair(e.a, e.b) : std::make_pair(e.b, e.a);
-    updown[std::move(key)].emplace_back(e.at, e.kind == FaultKind::kLinkDown);
+    updown[std::move(key)].push_back(i);
   }
-  for (const auto& [link, schedule] : updown) {
-    std::vector<std::pair<sim::Time, bool>> sorted = schedule;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (auto& [link, schedule] : updown) {
+    std::stable_sort(schedule.begin(), schedule.end(), [this](std::size_t x, std::size_t y) {
+      return events_[x].at < events_[y].at;
+    });
     bool down = false;
-    for (const auto& [at, is_down] : sorted) {
+    for (const std::size_t i : schedule) {
+      const bool is_down = events_[i].kind == FaultKind::kLinkDown;
       char when[32];
-      std::snprintf(when, sizeof when, "%.1f", at.as_seconds());
+      std::snprintf(when, sizeof when, "%.1f", events_[i].at.as_seconds());
       if (is_down && down) {
-        return "link " + link.first + "-" + link.second + ": down at t=" + when +
-               "s while already down (overlapping down/up schedules)";
+        return Problem{i, "link " + link.first + "-" + link.second + ": down at t=" + when +
+                              "s while already down (overlapping down/up schedules)"};
       }
       if (!is_down && !down) {
-        return "link " + link.first + "-" + link.second + ": up at t=" + when +
-               "s without a preceding down";
+        return Problem{i, "link " + link.first + "-" + link.second + ": up at t=" + when +
+                              "s without a preceding down"};
       }
       down = is_down;
     }
   }
-  return {};
+  return std::nullopt;
 }
 
 std::string FaultPlan::summary() const {

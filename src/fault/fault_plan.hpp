@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,10 +79,17 @@ class FaultPlan {
   /// Events stably sorted by start time — the order the injector installs.
   [[nodiscard]] std::vector<FaultEvent> sorted_events() const;
 
-  /// Empty string when the plan is well-formed; otherwise a one-line
-  /// description of the first problem (probability out of range, inverted
-  /// window, non-positive flap period, ...).
-  [[nodiscard]] std::string validate() const;
+  /// The first problem validate() finds: the offending event, as an index
+  /// into events(), and a one-line description.
+  struct Problem {
+    std::size_t event{0};
+    std::string message;
+  };
+
+  /// Nothing when the plan is well-formed; otherwise its first problem
+  /// (probability out of range, inverted window, non-positive flap period,
+  /// an up without a preceding down, ...).
+  [[nodiscard]] std::optional<Problem> validate() const;
 
   /// One-line-per-event human-readable rendering (for CLI banners and logs).
   [[nodiscard]] std::string summary() const;

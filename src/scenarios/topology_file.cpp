@@ -337,6 +337,10 @@ ParseResult parse_topology(std::string_view text) {
       desc.receivers.push_back(rcv);
     } else if (directive == "controller") {
       if (tokens.size() != 2) return fail(line_no, "controller takes one node");
+      if (desc.controller_line != 0) {
+        return fail(line_no, "a controller is already declared (line " +
+                                 std::to_string(desc.controller_line) + ")");
+      }
       desc.controller_node = tokens[1];
       desc.controller_line = line_no;
     } else if (directive == "domain") {
@@ -456,8 +460,8 @@ ParseResult parse_topology(std::string_view text) {
       }
     }
   }
-  if (const std::string fault_error = desc.faults.validate(); !fault_error.empty()) {
-    return fail(0, "fault plan: " + fault_error);
+  if (const auto problem = desc.faults.validate()) {
+    return fail(desc.fault_lines[problem->event], problem->message);
   }
   if (desc.receivers.empty()) return fail(0, "no receivers declared");
   if (desc.controller_node.empty()) return fail(0, "no controller declared");

@@ -116,7 +116,8 @@ struct ParseResult {
 };
 
 /// Parses the topology language. Validates that every referenced node is
-/// declared, every session has exactly one source, and a controller is set.
+/// declared, every session has exactly one source, exactly one controller is
+/// set and the fault plan can run.
 [[nodiscard]] ParseResult parse_topology(std::string_view text);
 
 /// Reads and parses a topology file from disk. Throws std::runtime_error on

@@ -5,10 +5,10 @@
 
 Runs the binary on bad positional arguments (a duration that is not a
 number of seconds in (0, 9.2e9], an unknown traffic model, a fourth
-argument) and on a topology with a receiver its source cannot reach. Each
-must exit with its documented code and name the problem on stderr. A
-fractional duration must run for exactly that long, and a valid 5 s run
-must still exit 0.
+argument), on a directory in place of a file and on a topology with a
+receiver its source cannot reach. Each must exit with its documented code
+and name the problem on stderr. A fractional duration must run for exactly
+that long, and a valid 5 s run must still exit 0.
 """
 
 import os
@@ -75,6 +75,7 @@ def main():
             check([valid, duration], 2, f"bad duration '{duration}'")
         check([valid, "5", "vbr4"], 2, "unknown traffic model 'vbr4'")
         check([valid, "5", "cbr", "extra"], 2, "too many arguments")
+        check([tmp, "5"], 1, f"error: cannot read '{tmp}'")
         check([unreachable, "5"], 1,
               f"error: {unreachable}: line 5: receiver 'island' unreachable from source")
 

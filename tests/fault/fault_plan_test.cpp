@@ -12,6 +12,12 @@ namespace {
 using namespace tsim::sim::time_literals;
 using sim::Time;
 
+/// validate()'s message, or "" for a well-formed plan.
+std::string problem_of(const FaultPlan& plan) {
+  const auto problem = plan.validate();
+  return problem ? problem->message : "";
+}
+
 TEST(FaultPlanTest, FluentBuildersRecordEvents) {
   FaultPlan plan;
   plan.link_outage("a", "b", 10_s, 20_s)
@@ -28,7 +34,7 @@ TEST(FaultPlanTest, FluentBuildersRecordEvents) {
   EXPECT_EQ(plan.events()[4].kind, FaultKind::kControllerDown);
   EXPECT_EQ(plan.events()[5].kind, FaultKind::kControllerUp);
   EXPECT_EQ(plan.events()[6].kind, FaultKind::kSuggestionDrop);
-  EXPECT_TRUE(plan.validate().empty()) << plan.validate();
+  EXPECT_EQ(problem_of(plan), "");
 }
 
 TEST(FaultPlanTest, SortedEventsOrderByStartTimeStably) {
@@ -47,27 +53,27 @@ TEST(FaultPlanTest, ValidateCatchesBadInput) {
   {
     FaultPlan p;
     p.link_down("", "b", 10_s);
-    EXPECT_FALSE(p.validate().empty());
+    EXPECT_NE(problem_of(p), "");
   }
   {
     FaultPlan p;
     p.link_lossy("a", "b", 1.5, 10_s, 20_s);  // probability > 1
-    EXPECT_FALSE(p.validate().empty());
+    EXPECT_NE(problem_of(p), "");
   }
   {
     FaultPlan p;
     p.link_lossy("a", "b", 0.5, 20_s, 10_s);  // inverted window
-    EXPECT_FALSE(p.validate().empty());
+    EXPECT_NE(problem_of(p), "");
   }
   {
     FaultPlan p;
     p.link_flap("a", "b", 10_s, 20_s, Time::zero(), 0.5);  // period must be > 0
-    EXPECT_FALSE(p.validate().empty());
+    EXPECT_NE(problem_of(p), "");
   }
   {
     FaultPlan p;
     p.link_flap("a", "b", 10_s, 20_s, 2_s, 1.5);  // duty out of range
-    EXPECT_FALSE(p.validate().empty());
+    EXPECT_NE(problem_of(p), "");
   }
 }
 
@@ -75,32 +81,33 @@ TEST(FaultPlanTest, ValidateRejectsOverlappingOutages) {
   {
     FaultPlan p;  // second down lands inside the first outage window
     p.link_outage("a", "b", 10_s, 30_s).link_down("a", "b", 20_s);
-    EXPECT_NE(p.validate().find("overlapping"), std::string::npos) << p.validate();
+    ASSERT_NE(problem_of(p).find("overlapping"), std::string::npos) << problem_of(p);
+    EXPECT_EQ(p.validate()->event, 2u);  // the down that overlaps, not the first one
   }
   {
     FaultPlan p;  // same physical link, opposite endpoint order
     p.link_outage("a", "b", 10_s, 30_s).link_outage("b", "a", 15_s, 40_s);
-    EXPECT_NE(p.validate().find("overlapping"), std::string::npos) << p.validate();
+    EXPECT_NE(problem_of(p).find("overlapping"), std::string::npos) << problem_of(p);
   }
   {
     FaultPlan p;
     p.link_up("a", "b", 10_s);  // repairs a link that never went down
-    EXPECT_NE(p.validate().find("without a preceding down"), std::string::npos);
+    EXPECT_NE(problem_of(p).find("without a preceding down"), std::string::npos);
   }
   {
     FaultPlan p;  // back-to-back outages on one link are fine
     p.link_outage("a", "b", 10_s, 20_s).link_outage("a", "b", 30_s, 40_s);
-    EXPECT_TRUE(p.validate().empty()) << p.validate();
+    EXPECT_EQ(problem_of(p), "");
   }
   {
     FaultPlan p;  // permanent down after a completed outage is fine
     p.link_outage("a", "b", 10_s, 20_s).link_down("a", "b", 50_s);
-    EXPECT_TRUE(p.validate().empty()) << p.validate();
+    EXPECT_EQ(problem_of(p), "");
   }
   {
     FaultPlan p;  // distinct links may overlap freely
     p.link_outage("a", "b", 10_s, 30_s).link_outage("b", "c", 15_s, 25_s);
-    EXPECT_TRUE(p.validate().empty()) << p.validate();
+    EXPECT_EQ(problem_of(p), "");
   }
 }
 

@@ -92,8 +92,8 @@ TEST(ControllerOutageTest, ReceiversActUnilaterallyWhileControllerIsDown) {
 TEST(ControllerOutageTest, RestartDropsLearnedStateButKeepsDurableRecord) {
   // Pins the set_enabled contract (see ControllerAgent's header): disabling
   // models a process death, so the in-memory report history is lost, while
-  // the billing ledger and wire counters — the durable audit record — must
-  // survive the restart untouched.
+  // the wire counters — the durable audit record — must survive the restart
+  // untouched.
   auto s = ScenarioBuilder(config(11, 240_s)).topology_a({}).build();
   s->run_until(59_s);
   control::ControllerAgent* agent = s->controller();
@@ -104,7 +104,7 @@ TEST(ControllerOutageTest, RestartDropsLearnedStateButKeepsDurableRecord) {
 
   agent->set_enabled(false);
   EXPECT_EQ(agent->report_history_size(), 0u);  // learned state died with the process
-  EXPECT_EQ(agent->stats().reports_received, before.reports_received);  // ledger survives
+  EXPECT_EQ(agent->stats().reports_received, before.reports_received);  // counters survive
   EXPECT_EQ(agent->stats().suggestions_sent, before.suggestions_sent);
   EXPECT_EQ(agent->stats().outages, before.outages + 1);
 

@@ -136,6 +136,50 @@ TEST(TopologyParseTest, SemanticErrorsNameTheOffendingLine) {
       << burst.error;
 }
 
+/// The error for a valid six-line topology followed by `extra_lines`, or "".
+std::string refusal(const std::string& extra_lines) {
+  const auto result = parse_topology(
+      "node r\nnode d\nlink r d 1Mbps 20ms\nsource 0 r\nreceiver d 0\ncontroller r\n" +
+      extra_lines);
+  return result.ok() ? "" : result.error;
+}
+
+TEST(TopologyParseTest, SecondControllerNamesBothLines) {
+  // Taking the last controller line would move the controller silently.
+  EXPECT_EQ(refusal("controller d\n"), "line 7: a controller is already declared (line 6)");
+}
+
+// Fault lines that each parse can still make a plan the whole file refuses;
+// the refusal names the line of the event at fault, which need not be the
+// event's index (a `down .. up ..` line holds two events).
+TEST(TopologyParseTest, FlapWithZeroPeriodNamesItsLine) {
+  EXPECT_EQ(refusal("fault link r d down 1 up 2\nfault link r d flap 10 20 period 0\n"),
+            "line 8: flap period must be positive");
+}
+
+TEST(TopologyParseTest, InvertedFlapWindowNamesItsLine) {
+  EXPECT_EQ(refusal("fault link r d flap 20 10 period 2\n"),
+            "line 7: flap window must end after it starts");
+}
+
+TEST(TopologyParseTest, InvertedLossWindowNamesItsLine) {
+  EXPECT_EQ(refusal("fault link r d lossy 0.2 50 10\n"),
+            "line 7: loss window must end after it starts");
+  EXPECT_EQ(refusal("fault controller down 1 up 2\nfault suggestions drop 0.5 50 10\n"),
+            "line 8: loss window must end after it starts");
+}
+
+TEST(TopologyParseTest, OverlappingOutageNamesItsLine) {
+  EXPECT_EQ(refusal("fault link r d down 10 up 50\nfault link d r down 30 up 70\n"),
+            "line 8: link d-r: down at t=30.0s while already down (overlapping down/up "
+            "schedules)");
+}
+
+TEST(TopologyParseTest, RepairWithoutFailureNamesItsLine) {
+  EXPECT_EQ(refusal("fault link r d lossy 0.1 1 2\n\nfault link r d down 50 up 20\n"),
+            "line 9: link d-r: up at t=20.0s without a preceding down");
+}
+
 TEST(TopologyParseTest, RejectsBadSessionIds) {
   const auto garbage =
       parse_topology("node a\nnode b\nsource zero a\nreceiver b 0\ncontroller a\n");

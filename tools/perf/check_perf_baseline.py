@@ -28,9 +28,9 @@ A baseline case may set "gate": "determinism" to be gated on determinism
 alone: no fingerprint pin and no throughput floor, only deterministic=true.
 The multi-shard star cases (star_sharded_2/4) use this. Their fingerprints
 hash a partitioned topology whose shape is a bench implementation detail, so
-re-partitioning is not a behaviour change. Their quick-tier runs last about
-10 ms, so thread-pool start-up dominates their events/s and a floor on it
-flakes from host to host. Every run must still be bit-identical across
+re-partitioning is not a behaviour change. How the host schedules the
+pool's threads sets their events/s, so a floor on it flakes from host to
+host. Every run must still be bit-identical across
 thread counts, and the 1-shard case stays exactly pinned (it must reduce to
 star_fanout, which bench_runner itself asserts).
 
