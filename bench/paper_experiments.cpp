@@ -476,7 +476,8 @@ void ablation_capacity_estimator(Report& out) {
       config.params.capacity_reset_intervals = setting.reset_intervals;
       scenarios::TopologyBOptions topology;
       topology.sessions = 4;
-      const double true_capacity = topology.per_session_bps * topology.sessions;
+      const double true_capacity =
+          scenarios::TopologyBOptions::kPerSession.bps() * topology.sessions;
       auto s = ScenarioBuilder(config).topology_b(topology).build();
 
       // Sample the shared link's estimate once a second.

@@ -23,7 +23,8 @@ int main() {
   std::printf("TopoSense quickstart: Topology A, CBR, %d receivers per set\n",
               topology.receivers_per_set);
   std::printf("bottlenecks: %.0f Kbps (optimal 3 layers), %.0f Kbps (optimal 5 layers)\n\n",
-              topology.bottleneck1_bps / 1e3, topology.bottleneck2_bps / 1e3);
+              scenarios::TopologyAOptions::kBottleneck1.bps() / 1e3,
+              scenarios::TopologyAOptions::kBottleneck2.bps() / 1e3);
 
   auto scenario = scenarios::ScenarioBuilder(config).topology_a(topology).build();
   scenario->run();

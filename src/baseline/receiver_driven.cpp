@@ -6,8 +6,17 @@
 
 namespace tsim::baseline {
 
-ReceiverDrivenController::ReceiverDrivenController(sim::Simulation& simulation, Config config)
-    : simulation_{simulation}, config_{config} {}
+namespace {
+constexpr double kDropLoss = 0.05;  ///< drop a layer above this loss
+constexpr double kAddLoss = 0.01;   ///< join experiment allowed below this
+constexpr int kStableIntervals = 3;  ///< clean intervals required before adding
+constexpr sim::Time kJoinTimerMin = sim::Time::seconds(5);    ///< initial per-layer backoff
+constexpr sim::Time kJoinTimerMax = sim::Time::seconds(600);  ///< backoff ceiling
+constexpr double kBackoffMultiplier = 2.0;  ///< growth after each failed experiment
+}  // namespace
+
+ReceiverDrivenController::ReceiverDrivenController(sim::Simulation& simulation, sim::Time period)
+    : simulation_{simulation}, period_{period} {}
 
 control::ReceiverAgent* ReceiverDrivenController::register_receiver(
     transport::ReceiverEndpoint& endpoint) {
@@ -17,7 +26,7 @@ control::ReceiverAgent* ReceiverDrivenController::register_receiver(
                                   std::to_string(endpoint.config().session));
   const auto layers = static_cast<std::size_t>(endpoint.config().layers.num_layers);
   r->join_not_before.assign(layers, sim::Time::zero());
-  r->join_timer.assign(layers, config_.join_timer_min);
+  r->join_timer.assign(layers, kJoinTimerMin);
   receivers_.push_back(std::move(r));
   return nullptr;
 }
@@ -26,8 +35,8 @@ void ReceiverDrivenController::start_receiver_policies() {
   for (std::size_t i = 0; i < receivers_.size(); ++i) {
     // Random phase so independent receivers do not tick in lockstep.
     const sim::Time phase =
-        sim::Time::seconds(receivers_[i]->rng.uniform(0.0, config_.period.as_seconds()));
-    simulation_.at(config_.start + config_.period + phase, [this, i]() { tick(i); });
+        sim::Time::seconds(receivers_[i]->rng.uniform(0.0, period_.as_seconds()));
+    simulation_.at(period_ + phase, [this, i]() { tick(i); });
   }
 }
 
@@ -62,21 +71,21 @@ void ReceiverDrivenController::tick(std::size_t index) {
   const sim::Time now = simulation_.now();
   if (!enabled_) {
     // Frozen: keep the cadence so a re-enable resumes without rescheduling.
-    simulation_.after(config_.period, [this, index]() { tick(index); });
+    simulation_.after(period_, [this, index]() { tick(index); });
     return;
   }
   const auto& window = r.endpoint->last_completed_window();
   const double loss = window.loss_rate().value();
   const int sub = r.endpoint->subscription();
 
-  if (loss > config_.drop_loss) {
+  if (loss > kDropLoss) {
     r.clean_intervals = 0;
     if (r.last_added_layer == sub && sub > 1 && now <= r.experiment_deadline) {
       // Failed join experiment: drop back and back the layer's timer off.
       const std::size_t idx = static_cast<std::size_t>(sub - 1);
       r.join_timer[idx] = std::min(
-          sim::Time::seconds(r.join_timer[idx].as_seconds() * config_.backoff_multiplier),
-          config_.join_timer_max);
+          sim::Time::seconds(r.join_timer[idx].as_seconds() * kBackoffMultiplier),
+          kJoinTimerMax);
       r.join_not_before[idx] = now + r.join_timer[idx];
       r.endpoint->set_subscription(sub - 1);
       ++r.drops;
@@ -89,29 +98,29 @@ void ReceiverDrivenController::tick(std::size_t index) {
     }
     r.last_added_layer = 0;
   } else {
-    if (loss <= config_.add_loss) {
+    if (loss <= kAddLoss) {
       ++r.clean_intervals;
     } else {
       r.clean_intervals = 0;
     }
     if (r.last_added_layer == sub && now > r.experiment_deadline) {
       // Experiment survived: the layer is considered safe; relax its timer.
-      r.join_timer[static_cast<std::size_t>(sub - 1)] = config_.join_timer_min;
+      r.join_timer[static_cast<std::size_t>(sub - 1)] = kJoinTimerMin;
       r.last_added_layer = 0;
     }
     const int next = sub + 1;
-    if (r.clean_intervals >= config_.stable_intervals &&
+    if (r.clean_intervals >= kStableIntervals &&
         next <= r.endpoint->config().layers.num_layers &&
         now >= r.join_not_before[static_cast<std::size_t>(next - 1)]) {
       r.endpoint->set_subscription(next);
       ++r.adds;
       r.last_added_layer = next;
-      r.experiment_deadline = now + config_.period * 2;
+      r.experiment_deadline = now + period_ * 2;
       r.clean_intervals = 0;
     }
   }
 
-  simulation_.after(config_.period, [this, index]() { tick(index); });
+  simulation_.after(period_, [this, index]() { tick(index); });
 }
 
 }  // namespace tsim::baseline

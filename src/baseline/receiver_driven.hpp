@@ -24,27 +24,16 @@ namespace tsim::baseline {
 /// control::AdaptationController wiring like every other controller.
 class ReceiverDrivenController final : public control::AdaptationController {
  public:
-  struct Config {
-    sim::Time period{sim::Time::seconds(2)};       ///< decision cadence
-    double drop_loss{0.05};                        ///< drop a layer above this loss
-    double add_loss{0.01};                         ///< join experiment allowed below this
-    int stable_intervals{3};                       ///< clean intervals required before adding
-    sim::Time join_timer_min{sim::Time::seconds(5)};   ///< initial per-layer backoff
-    sim::Time join_timer_max{sim::Time::seconds(600)}; ///< backoff ceiling
-    double backoff_multiplier{2.0};                ///< growth after each failed experiment
-    sim::Time start{sim::Time::zero()};
-  };
-
-  ReceiverDrivenController(sim::Simulation& simulation, Config config);
+  /// `period` is each receiver's decision cadence.
+  ReceiverDrivenController(sim::Simulation& simulation, sim::Time period);
 
   control::ReceiverAgent* register_receiver(transport::ReceiverEndpoint& endpoint) override;
 
   /// No control plane: all timers are per-receiver.
   void start() override {}
 
-  /// Schedules each receiver's first decision tick (start + period + a random
-  /// phase from the receiver's own stream, so receivers never tick in
-  /// lockstep).
+  /// Schedules each receiver's first decision tick (period + a random phase
+  /// from the receiver's own stream, so receivers never tick in lockstep).
   void start_receiver_policies() override;
 
   /// While disabled, ticks keep their cadence but make no decisions
@@ -73,7 +62,7 @@ class ReceiverDrivenController final : public control::AdaptationController {
   void tick(std::size_t index);
 
   sim::Simulation& simulation_;
-  Config config_;
+  sim::Time period_;
   /// unique_ptr per receiver: tick() callbacks capture the Receiver*, which
   /// must stay stable while registration keeps appending.
   std::vector<std::unique_ptr<Receiver>> receivers_;

@@ -14,6 +14,9 @@ namespace {
 /// Relative slack for floating-point monotonicity comparisons.
 constexpr double kRelTol = 1e-9;
 
+/// Period of the sweeping checks, in simulated time.
+constexpr sim::Time kSweepCadence = sim::Time::seconds(1);
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -135,10 +138,10 @@ void InvariantAuditor::start() {
     InvariantAuditor* auditor;
     void operator()() const {
       auditor->run_checks_now();
-      auditor->simulation_->after(auditor->config_.cadence, Tick{auditor});
+      auditor->simulation_->after(kSweepCadence, Tick{auditor});
     }
   };
-  simulation_->after(config_.cadence, Tick{this});
+  simulation_->after(kSweepCadence, Tick{this});
 }
 
 /// Invariant: everything a link was ever offered is accounted for —

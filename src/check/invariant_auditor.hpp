@@ -32,10 +32,6 @@ enum class AuditMode {
 
 struct AuditConfig {
   AuditMode mode{AuditMode::kOff};
-  /// Period of the sweeping checks (link conservation, scheduler pool,
-  /// clean-tree well-formedness). Event-driven checks (tree rebuilds,
-  /// controller passes, watchdog actions) fire regardless of cadence.
-  sim::Time cadence{sim::Time::seconds(1)};
   /// Violations kept for the machine-readable report; the total count keeps
   /// incrementing past this bound.
   std::size_t max_recorded{256};
@@ -70,10 +66,10 @@ class AuditError : public std::runtime_error {
 /// tentpole; the full catalogue is docs/invariants.md). Checks come in two
 /// flavours:
 ///
-///  * sweeps — registered by the attach_* calls and run every `cadence` once
-///    start() is called (or on demand via run_checks_now()): per-link
-///    packet/byte conservation, scheduler monotonic-time and slot-pool
-///    consistency, multicast-tree well-formedness of clean trees;
+///  * sweeps — registered by the attach_* calls and run every simulated
+///    second once start() is called (or on demand via run_checks_now()):
+///    per-link packet/byte conservation, scheduler monotonic-time and
+///    slot-pool consistency, multicast-tree well-formedness of clean trees;
 ///  * event-driven — invoked from instrumentation hooks at the exact moment
 ///    the audited property must hold: tree rebuild (prune/re-graft),
 ///    controller pass postconditions, receiver watchdog decisions.

@@ -8,6 +8,10 @@
 namespace tsim::control {
 
 namespace {
+/// The first algorithm run. Offset from the receivers' report period, so a run
+/// always has fresh reports to read.
+constexpr sim::Time kStart = sim::Time::milliseconds(2500);
+
 std::uint64_t key_of(net::SessionId session, net::NodeId receiver) {
   return (static_cast<std::uint64_t>(session) << 32) | receiver;
 }
@@ -33,7 +37,7 @@ void ControllerAgent::register_receiver(net::SessionId session, net::NodeId rece
 }
 
 void ControllerAgent::start() {
-  simulation_.at(config_.start, [this]() { run_interval(); });
+  simulation_.at(kStart, [this]() { run_interval(); });
 }
 
 void ControllerAgent::set_enabled(bool enabled) {
@@ -119,9 +123,7 @@ void ControllerAgent::ingest_border_summary(const transport::DomainSummary& summ
   report.window_start = summary.window_start;
   report.window_end = summary.window_end;
   report.report_seq = summary.summary_seq;
-  auto& history = reports_[key_of(report.session, report.receiver)];
-  history.push_back(report);
-  while (history.size() > config_.report_history_limit) history.pop_front();
+  remember(report);
   ++summaries_ingested_;
 }
 
@@ -152,9 +154,22 @@ void ControllerAgent::handle_report(const net::Packet& packet) {
   const auto* report = dynamic_cast<const transport::ReceiverReport*>(packet.control.get());
   if (report == nullptr) return;
   ++reports_received_;
-  auto& history = reports_[key_of(report->session, report->receiver)];
-  history.push_back(*report);
-  while (history.size() > config_.report_history_limit) history.pop_front();
+  remember(*report);
+}
+
+void ControllerAgent::remember(const transport::ReceiverReport& report) {
+  auto& history = reports_[key_of(report.session, report.receiver)];
+  history.push_back(report);
+  // Later reads ask for windows ending by now - info_staleness (run_interval)
+  // or by now (DomainManager's summaries), and aggregate_reports looks back
+  // at most three intervals from there. A report whose window ended at or
+  // before the bound below is never read again. Only a prefix goes, so the
+  // newest-first walk still stops at the first report it cannot read.
+  const sim::Time oldest_readable =
+      simulation_.now() - config_.info_staleness - config_.params.interval * 3;
+  while (!history.empty() && history.front().window_end <= oldest_readable) {
+    history.pop_front();
+  }
 }
 
 ControllerAgent::ReportAggregate ControllerAgent::aggregate_reports(

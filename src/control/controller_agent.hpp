@@ -45,8 +45,6 @@ class ControllerAgent final {
     /// window ended at or before now - info_staleness (Fig 10 pairs this with
     /// the topology staleness configured on the DiscoveryService).
     sim::Time info_staleness{sim::Time::zero()};
-    sim::Time start{sim::Time::milliseconds(2500)};
-    std::size_t report_history_limit{64};
   };
 
   ControllerAgent(sim::Simulation& simulation, net::Network& network,
@@ -60,7 +58,7 @@ class ControllerAgent final {
   /// because the paper treats it as out-of-band setup.
   void register_receiver(net::SessionId session, net::NodeId receiver);
 
-  /// Starts the periodic algorithm runs at config.start.
+  /// Starts the periodic algorithm runs, the first at 2.5 s.
   void start();
 
   /// Fault hook: while disabled the controller neither consumes reports nor
@@ -87,8 +85,9 @@ class ControllerAgent final {
   [[nodiscard]] std::uint64_t suggestions_sent() const { return suggestions_sent_; }
   [[nodiscard]] std::uint64_t intervals_run() const { return epoch_; }
 
-  /// Reports currently held in the learning history (all receivers). Zero
-  /// right after an outage began — see set_enabled.
+  /// Reports currently held in the learning history (all receivers). A
+  /// receiver's history keeps only the reports an interval can still read
+  /// (see remember). Zero right after an outage began — see set_enabled.
   [[nodiscard]] std::size_t report_history_size() const;
 
   /// --- Inter-domain summary support (driven by DomainManager) -------------
@@ -141,6 +140,9 @@ class ControllerAgent final {
 
  private:
   void handle_report(const net::Packet& packet);
+  /// Appends `report` to its receiver's history and drops the reports no
+  /// later aggregate_reports call can read.
+  void remember(const transport::ReceiverReport& report);
   void run_interval();
   void send_suggestion(const core::Prescription& prescription);
   /// The prescription's subscription after the session cap (if any).

@@ -16,16 +16,16 @@ using sim::Time;
 TopoSenseDomain::TopoSenseDomain(sim::Simulation& simulation, net::Network& network,
                                  transport::DemuxRegistry& demuxes,
                                  std::unique_ptr<topo::TopologyProvider> discovery,
-                                 Config config)
-    : simulation_{simulation}, config_{config}, discovery_{std::move(discovery)} {
+                                 ControllerAgent::Config config)
+    : simulation_{simulation}, discovery_{std::move(discovery)} {
   agent_ = std::make_unique<ControllerAgent>(simulation, network, *discovery_,
-                                             demuxes.at(config_.agent.node), config_.agent);
+                                             demuxes.at(config.node), config);
 }
 
 ReceiverAgent* TopoSenseDomain::register_receiver(transport::ReceiverEndpoint& endpoint) {
   agent_->register_receiver(endpoint.config().session, endpoint.config().node);
-  watchdogs_.push_back(
-      std::make_unique<ReceiverAgent>(simulation_, endpoint, config_.watchdog));
+  watchdogs_.push_back(std::make_unique<ReceiverAgent>(simulation_, endpoint,
+                                                       agent_->config().params.interval));
   return watchdogs_.back().get();
 }
 

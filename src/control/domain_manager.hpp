@@ -31,20 +31,17 @@ struct Domain {
 
 /// The paper's per-domain deployment unit for TopoSense: a topology provider
 /// scoped to the domain, the controller agent consuming only this domain's
-/// receiver reports, and the per-receiver watchdog agents — constructed and
-/// started in exactly the order the single-controller scenario wiring used,
-/// so a one-domain run is bit-identical to the pre-domain code (pinned by
-/// tests/control/domain_manager_test.cpp).
+/// receiver reports, and the per-receiver watchdog agents, which expect a
+/// suggestion every `params.interval` of the agent's configuration —
+/// constructed and started in exactly the order the single-controller
+/// scenario wiring used, so a one-domain run is bit-identical to the
+/// pre-domain code (pinned by tests/control/domain_manager_test.cpp).
 class TopoSenseDomain final : public AdaptationController {
  public:
-  struct Config {
-    ControllerAgent::Config agent{};
-    ReceiverAgent::Config watchdog{};
-  };
-
   TopoSenseDomain(sim::Simulation& simulation, net::Network& network,
                   transport::DemuxRegistry& demuxes,
-                  std::unique_ptr<topo::TopologyProvider> discovery, Config config);
+                  std::unique_ptr<topo::TopologyProvider> discovery,
+                  ControllerAgent::Config config);
 
   ReceiverAgent* register_receiver(transport::ReceiverEndpoint& endpoint) override;
   void start() override;
@@ -62,7 +59,6 @@ class TopoSenseDomain final : public AdaptationController {
 
  private:
   sim::Simulation& simulation_;
-  Config config_;
   std::unique_ptr<topo::TopologyProvider> discovery_;
   std::unique_ptr<ControllerAgent> agent_;
   std::vector<std::unique_ptr<ReceiverAgent>> watchdogs_;

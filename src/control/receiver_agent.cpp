@@ -4,9 +4,29 @@
 
 namespace tsim::control {
 
+namespace {
+/// Missed controller intervals after which the receiver acts on its own.
+constexpr std::int64_t kMissedIntervals = 3;
+/// Shorter silence horizon used when loss is catastrophic (or data has
+/// stopped entirely): heavy loss is itself evidence that the suggestion
+/// packets are being lost with it.
+constexpr sim::Time kEmergencyTimeout = sim::Time::seconds(3);
+/// How often the silence check runs; the first check is one period in.
+constexpr sim::Time kCheckPeriod = sim::Time::seconds(2);
+static_assert(kEmergencyTimeout >= kCheckPeriod,
+              "the emergency horizon must span at least one silence check");
+/// Loss level considered catastrophic (enables kEmergencyTimeout).
+constexpr double kEmergencyLoss = 0.35;
+/// Minimum spacing between unilateral adds — a failed probe costs several
+/// seconds of congestion, so probes must be far apart.
+constexpr sim::Time kAddHoldoff = sim::Time::seconds(20);
+}  // namespace
+
 ReceiverAgent::ReceiverAgent(sim::Simulation& simulation,
-                             transport::ReceiverEndpoint& endpoint, Config config)
-    : simulation_{simulation}, endpoint_{endpoint}, config_{config} {
+                             transport::ReceiverEndpoint& endpoint, sim::Time controller_interval)
+    : simulation_{simulation},
+      endpoint_{endpoint},
+      silence_horizon_{controller_interval * kMissedIntervals} {
   endpoint_.on_suggestion([this](const transport::Suggestion& suggestion) {
     // Stale-but-reordered suggestions are impossible over our FIFO links, but
     // a lost interval makes epochs skip; accept any epoch >= the last seen.
@@ -19,16 +39,8 @@ ReceiverAgent::ReceiverAgent(sim::Simulation& simulation,
   });
 }
 
-sim::Time ReceiverAgent::silence_horizon() const {
-  if (config_.expected_interval > sim::Time::zero()) {
-    return config_.expected_interval * std::max(config_.missed_intervals, 1);
-  }
-  return config_.unilateral_timeout;
-}
-
 void ReceiverAgent::start() {
-  last_suggestion_ = config_.start;
-  simulation_.at(config_.start + config_.check_period, [this]() { check_silence(); });
+  simulation_.at(kCheckPeriod, [this]() { check_silence(); });
 }
 
 void ReceiverAgent::note_gap(sim::Time now) {
@@ -47,27 +59,25 @@ void ReceiverAgent::check_silence() {
     const bool starved = endpoint_.subscription() > 0 &&
                          window.received_packets == units::PacketCount::zero() &&
                          window.lost_packets == units::PacketCount::zero();
-    const sim::Time horizon = silence_horizon();
-    const sim::Time emergency =
-        std::min(horizon, std::max(config_.emergency_timeout, config_.check_period));
+    const sim::Time emergency = std::min(silence_horizon_, kEmergencyTimeout);
     const sim::Time silence = now - last_suggestion_;
-    if (silence > horizon) gap_time_ = gap_time_ + config_.check_period;
+    if (silence > silence_horizon_) gap_time_ = gap_time_ + kCheckPeriod;
 
-    const bool emergency_case = loss > config_.emergency_loss || starved;
-    if (silence > (emergency_case ? emergency : horizon)) {
+    const bool emergency_case = loss > kEmergencyLoss || starved;
+    if (silence > (emergency_case ? emergency : silence_horizon_)) {
       // No guidance: protect the network on our own, one layer at a time.
-      if ((loss > config_.unilateral_drop_loss || starved) && endpoint_.subscription() > 1) {
+      if ((loss > kUnilateralDropLoss || starved) && endpoint_.subscription() > 1) {
         endpoint_.set_subscription(endpoint_.subscription() - 1);
         ++unilateral_drops_;
         last_suggestion_ = now;  // give the drop time to take effect
         if (unilateral_hook_) {
           unilateral_hook_(UnilateralAction{false, loss, starved, endpoint_.subscription()});
         }
-      } else if (!starved && loss < config_.unilateral_add_loss &&
+      } else if (!starved && loss < kUnilateralAddLoss &&
                  window.received_packets > units::PacketCount::zero() &&
                  endpoint_.subscription() <
                      static_cast<int>(endpoint_.config().layers.num_layers) &&
-                 now - last_unilateral_add_ >= config_.add_holdoff) {
+                 now - last_unilateral_add_ >= kAddHoldoff) {
         // Data flows cleanly but the controller is mute: probe one layer up
         // (the receiver-driven fallback), spaced by the add holdoff so a
         // failed probe's congestion clears before the next attempt.
@@ -80,7 +90,7 @@ void ReceiverAgent::check_silence() {
       }
     }
   }
-  simulation_.after(config_.check_period, [this]() { check_silence(); });
+  simulation_.after(kCheckPeriod, [this]() { check_silence(); });
 }
 
 }  // namespace tsim::control

@@ -60,14 +60,6 @@ struct Params {
   /// once per interval.
   sim::Time interval{sim::Time::seconds(2)};
 
-  /// Minimum intervals between successive layer additions by one receiver.
-  ///1 reproduces Table I verbatim (an eligible leaf adds every interval);
-  /// larger values pace blind probes below the control loop's feedback lag.
-  /// In practice pacing trades probe depth for probe frequency and ends up
-  /// roughly neutral (see the interval-size ablation), so the paper's
-  /// add-per-interval behaviour is the default.
-  int add_cooldown_intervals{1};
-
   /// Randomized backoff applied to a dropped layer so no receiver in the
   /// subtree re-subscribes it immediately ("random back-off interval"). The
   /// paper tunes stability with exactly this knob; a probe that fails costs

@@ -171,17 +171,7 @@ void TopoSense::compute_demands(LabeledTree& lt, const std::vector<NodeMemory*>&
                 lt.share_bps[i] == kInf ? 0 : layers_for_bw(units::BitsPerSec{lt.share_bps[i]});
             const bool proven_safe = next <= share_cap || next <= stable_level;
             const bool blocked = !proven_safe && backoff_on_path(tree, i, next, now);
-            // Pace blind probes to the feedback latency of the control loop;
-            // proven-safe adds (fair share / stable level) are not probes.
-            const bool cooling =
-                !proven_safe && mem.last_add_interval +
-                                        static_cast<std::uint64_t>(
-                                            params_.add_cooldown_intervals) >
-                                    interval_count_;
-            if (next > sub && !blocked && !cooling) {
-              d = next;
-              mem.last_add_interval = interval_count_;
-            }
+            if (next > sub && !blocked) d = next;
             break;
           }
           case LeafAction::kDropIfHighLoss:

@@ -56,7 +56,6 @@ class TopoSense {
     int clean_run{0};   ///< consecutive non-congested intervals at last_level
     int last_level{0};  ///< level observed in the previous interval
     int stable_age{0};  ///< intervals since stable_level was (re)confirmed
-    std::uint64_t last_add_interval{0};  ///< when this node last grew demand
     std::uint64_t last_seen_interval{0};
   };
 

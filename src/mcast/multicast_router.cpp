@@ -49,24 +49,10 @@ void MulticastRouter::join(net::NodeId member, net::GroupAddr group) {
   }
   GroupState& state = group_state(group);
   MemberState& ms = state.members[member];
-  if (ms.local_active || ms.join_pending) return;
-
-  if (config_.join_latency == sim::Time::zero()) {
-    ms.local_active = true;
-    ms.forward_until = sim::Time::max();
-    state.tree_dirty = true;
-    return;
-  }
-  ms.join_pending = true;
-  simulation_.after(config_.join_latency, [this, member, group]() {
-    GroupState& s = group_state(group);
-    MemberState& m = s.members[member];
-    if (!m.join_pending) return;  // leave raced the graft
-    m.join_pending = false;
-    m.local_active = true;
-    m.forward_until = sim::Time::max();
-    s.tree_dirty = true;
-  });
+  if (ms.local_active) return;
+  ms.local_active = true;
+  ms.forward_until = sim::Time::max();
+  state.tree_dirty = true;
 }
 
 void MulticastRouter::leave(net::NodeId member, net::GroupAddr group) {
@@ -76,20 +62,8 @@ void MulticastRouter::leave(net::NodeId member, net::GroupAddr group) {
   const auto mit = state.members.find(member);
   if (mit == state.members.end()) return;
   MemberState& ms = mit->second;
-  if (!ms.local_active && !ms.join_pending) return;
+  if (!ms.local_active) return;
 
-  if (ms.join_pending && !ms.local_active) {
-    // The graft is still in flight: the branch never carried traffic, so there
-    // is nothing for the IGMP timeout to prune. Cancel the pending join
-    // without touching forward_until — setting it here would graft a fresh
-    // branch at the next rebuild and forward onto it for the whole
-    // leave-latency window. Any forward_until from an *earlier* real leave
-    // stays as it is: that window was earned by a completed graft.
-    ms.join_pending = false;
-    return;
-  }
-
-  ms.join_pending = false;
   ms.local_active = false;  // the host stops listening immediately
   ms.forward_until = simulation_.now() + config_.leave_latency;
   state.tree_dirty = true;  // local-delivery flag must clear now

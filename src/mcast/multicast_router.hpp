@@ -48,22 +48,20 @@ struct GroupTree {
 
 /// IGMP/PIM-flavoured group management and multicast forwarding.
 ///
-/// Two latencies model the paper's §V "group-leave latency" concern:
-///  * `join_latency`  — delay between a join request and packets flowing
-///    (graft propagation; default 0 as grafts are fast).
-///  * `leave_latency` — after a leave, the tree keeps carrying traffic toward
-///    the departed member for this long (IGMP last-member query), so dropping
-///    a layer does NOT immediately relieve congestion. Local delivery stops
-///    immediately, matching a host that closed its socket.
+/// Grafts are instant: a join delivers from the next packet on. The
+/// `leave_latency` models the paper's §V "group-leave latency" concern: after
+/// a leave, the tree keeps carrying traffic toward the departed member for
+/// this long (IGMP last-member query), so dropping a layer does NOT
+/// immediately relieve congestion. Local delivery stops immediately, matching
+/// a host that closed its socket.
 class MulticastRouter final : public net::MulticastForwarder {
  public:
   struct Config {
-    sim::Time join_latency{sim::Time::zero()};
     sim::Time leave_latency{sim::Time::seconds(1)};
   };
 
   MulticastRouter(sim::Simulation& simulation, net::Network& network, Config config);
-  /// Default configuration (instant grafts, 1 s leave latency).
+  /// Default configuration (1 s leave latency).
   MulticastRouter(sim::Simulation& simulation, net::Network& network);
 
   /// Declares the source node of every group of a session. Must be set
@@ -71,7 +69,7 @@ class MulticastRouter final : public net::MulticastForwarder {
   void set_session_source(net::SessionId session, net::NodeId source);
   [[nodiscard]] net::NodeId session_source(net::SessionId session) const;
 
-  /// Subscribes `member` to `group`. Delivery starts after join_latency.
+  /// Subscribes `member` to `group`; delivery starts at once.
   void join(net::NodeId member, net::GroupAddr group);
 
   /// Unsubscribes `member`. Local delivery stops now; upstream forwarding
@@ -131,7 +129,6 @@ class MulticastRouter final : public net::MulticastForwarder {
  private:
   struct MemberState {
     bool local_active{false};                ///< packets delivered to the host
-    bool join_pending{false};                ///< graft in flight
     sim::Time forward_until{sim::Time::zero()};  ///< tree carries traffic until then
   };
   struct GroupState {

@@ -4,9 +4,16 @@
 
 namespace tsim::metrics {
 
+namespace {
+/// Levels at or above target - kTolerance count as recovered.
+constexpr int kTolerance = 1;
+/// How long the level must hold continuously to count.
+constexpr sim::Time kHold = sim::Time::seconds(10);
+}  // namespace
+
 std::optional<sim::Time> recovery_time(const SubscriptionTimeline& timeline,
                                        const RecoveryConfig& config) {
-  const int threshold = config.target - config.tolerance;
+  const int threshold = config.target - kTolerance;
   const auto& points = timeline.points();
 
   // Walk the step function from the repair instant; a recovery spell starts
@@ -16,7 +23,7 @@ std::optional<sim::Time> recovery_time(const SubscriptionTimeline& timeline,
   if (timeline.level_at(config.repair) >= threshold) spell_start = config.repair;
 
   auto spell_long_enough = [&](sim::Time start, sim::Time end) {
-    return end - start >= config.hold;
+    return end - start >= kHold;
   };
 
   for (const auto& [when, level] : points) {

@@ -8,6 +8,14 @@
 
 namespace tsim::net {
 
+namespace {
+/// RED parameters; the thresholds are fractions of the queue limit.
+constexpr double kRedMinThresholdFrac = 0.25;
+constexpr double kRedMaxThresholdFrac = 0.75;
+constexpr double kRedMaxDropProbability = 0.1;
+constexpr double kRedQueueWeight = 0.02;  ///< EWMA weight for the average queue length
+}  // namespace
+
 Link::Link(sim::Simulation& simulation, Network& network, LinkId id, NodeId from)
     : simulation_{simulation},
       network_{network},
@@ -28,8 +36,7 @@ std::size_t Link::queue_limit() const { return hot().queue_limit; }
 
 bool Link::red_enabled() const { return (hot().flags & LinkHot::kRed) != 0; }
 
-void Link::enable_red(RedConfig config) {
-  red_ = config;
+void Link::enable_red() {
   red_avg_ = 0.0;
   hot().flags |= LinkHot::kRed;
 }
@@ -135,19 +142,19 @@ void Link::enqueue_slow(const PacketRef& packet) {
       const double slot_s = transmission_time(packet->size_bytes).as_seconds();
       const double idle_s = (simulation_.now() - idle_since_).as_seconds();
       if (slot_s > 0.0 && idle_s > 0.0) {
-        red_avg_ *= std::pow(1.0 - red_.queue_weight, idle_s / slot_s);
+        red_avg_ *= std::pow(1.0 - kRedQueueWeight, idle_s / slot_s);
       }
     }
     // EWMA of the instantaneous queue length, updated per arrival.
-    red_avg_ = (1.0 - red_.queue_weight) * red_avg_ +
-               red_.queue_weight * static_cast<double>(queue_.size());
-    const double min_th = red_.min_threshold_frac * static_cast<double>(h.queue_limit);
-    const double max_th = red_.max_threshold_frac * static_cast<double>(h.queue_limit);
+    red_avg_ = (1.0 - kRedQueueWeight) * red_avg_ +
+               kRedQueueWeight * static_cast<double>(queue_.size());
+    const double min_th = kRedMinThresholdFrac * static_cast<double>(h.queue_limit);
+    const double max_th = kRedMaxThresholdFrac * static_cast<double>(h.queue_limit);
     bool early_drop = false;
     if (red_avg_ >= max_th) {
       early_drop = true;
     } else if (red_avg_ > min_th) {
-      const double p = red_.max_drop_probability * (red_avg_ - min_th) / (max_th - min_th);
+      const double p = kRedMaxDropProbability * (red_avg_ - min_th) / (max_th - min_th);
       early_drop = red_rng_.bernoulli(p);
     }
     if (early_drop) {

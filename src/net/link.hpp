@@ -136,19 +136,11 @@ struct LinkStats {
 /// read them there.
 class Link {
  public:
-  /// Random Early Detection parameters (Floyd/Jacobson); thresholds are
-  /// fractions of the queue limit.
-  struct RedConfig {
-    double min_threshold_frac{0.25};
-    double max_threshold_frac{0.75};
-    double max_drop_probability{0.1};
-    double queue_weight{0.02};  ///< EWMA weight for the average queue length
-  };
-
   Link(sim::Simulation& simulation, Network& network, LinkId id, NodeId from);
 
-  /// Switches the queue from drop-tail to RED. Call before traffic flows.
-  void enable_red(RedConfig config);
+  /// Switches the queue from drop-tail to Random Early Detection
+  /// (Floyd/Jacobson; parameters in link.cpp). Call before traffic flows.
+  void enable_red();
   [[nodiscard]] bool red_enabled() const;
   [[nodiscard]] double red_average_queue() const { return red_avg_; }
 
@@ -250,7 +242,6 @@ class Link {
   std::deque<PacketRef> queue_;
   units::Bytes queued_bytes_{};
   std::uint64_t fault_dropped_packets_{0};  ///< slow-path only; see LinkStats
-  RedConfig red_;
   double red_avg_{0.0};
   sim::Time idle_since_{sim::Time::zero()};  ///< when the transmitter last went idle
   sim::Rng red_rng_;

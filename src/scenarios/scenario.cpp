@@ -18,11 +18,12 @@ using sim::Time;
 
 namespace {
 
-/// Queue provisioning: the link's bandwidth-delay product in packets (the
-/// standard drop-tail rule), with a floor of 30 packets for slow links.
+/// Queue provisioning: the link's bandwidth-delay product at kLinkLatency in
+/// packets (the standard drop-tail rule), with a floor of 30 packets for slow
+/// links.
 std::size_t queue_limit_for(const ScenarioConfig& config, double bandwidth_bps) {
   constexpr std::size_t kFloorPackets = 30;
-  const double bdp_bytes = bandwidth_bps * config.link_latency.as_seconds() / 8.0;
+  const double bdp_bytes = bandwidth_bps * kLinkLatency.as_seconds() / 8.0;
   const auto bdp_packets =
       static_cast<std::size_t>(bdp_bytes / config.params.layers.packet_size_bytes);
   return std::max(kFloorPackets, bdp_packets);
@@ -169,15 +170,10 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
     const std::vector<control::Domain>& all) {
   switch (config_.control.kind) {
     case ControllerKind::kTopoSense: {
-      control::TopoSenseDomain::Config tcfg;
-      tcfg.agent.node = domain.controller_node;
-      tcfg.agent.params = config_.params;
-      tcfg.agent.info_staleness = config_.control.info_staleness;
-      // Offset the controller's period from the receivers' report period so a
-      // run always has fresh reports to read.
-      tcfg.agent.start = Time::milliseconds(2500);
-      // Wire the watchdog to the controller cadence it actually faces.
-      tcfg.watchdog.expected_interval = config_.params.interval;
+      control::ControllerAgent::Config acfg;
+      acfg.node = domain.controller_node;
+      acfg.params = config_.params;
+      acfg.info_staleness = config_.control.info_staleness;
 
       std::unique_ptr<topo::TopologyProvider> discovery;
       if (config_.control.discovery == DiscoveryMode::kOracle) {
@@ -225,13 +221,11 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
         discovery = std::move(mtrace);
       }
       return std::make_unique<control::TopoSenseDomain>(*simulation_, *network_, *demuxes_,
-                                                        std::move(discovery), tcfg);
+                                                        std::move(discovery), acfg);
     }
-    case ControllerKind::kReceiverDriven: {
-      baseline::ReceiverDrivenController::Config rd;
-      rd.period = config_.params.interval;
-      return std::make_unique<baseline::ReceiverDrivenController>(*simulation_, rd);
-    }
+    case ControllerKind::kReceiverDriven:
+      return std::make_unique<baseline::ReceiverDrivenController>(*simulation_,
+                                                                  config_.params.interval);
     case ControllerKind::kNone:
       return std::make_unique<control::NullController>();
   }
@@ -242,7 +236,7 @@ void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& re
                         const std::vector<control::Domain>& domains) {
   if (config_.queues.red) {
     for (net::LinkId id = 0; id < network_->link_count(); ++id) {
-      network_->link(id).enable_red({});
+      network_->link(id).enable_red();
     }
   }
 
@@ -321,17 +315,16 @@ void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& re
     // receiver_agents_ is built one per receiver, in description order, so
     // it is index-parallel with results_.
     for (std::size_t i = 0; i < receiver_agents_.size() && i < results_.size(); ++i) {
-      control::ReceiverAgent& agent = *receiver_agents_[i];
       const net::NodeId node = results_[i].node;
-      agent.set_unilateral_hook(
-          [this, node, &agent](const control::ReceiverAgent::UnilateralAction& action) {
+      receiver_agents_[i]->set_unilateral_hook(
+          [this, node](const control::ReceiverAgent::UnilateralAction& action) {
             check::InvariantAuditor::WatchdogObservation obs;
             obs.node = node;
             obs.add = action.add;
             obs.loss = action.loss;
             obs.starved = action.starved;
-            obs.add_loss_threshold = agent.config().unilateral_add_loss;
-            obs.drop_loss_threshold = agent.config().unilateral_drop_loss;
+            obs.add_loss_threshold = control::ReceiverAgent::kUnilateralAddLoss;
+            obs.drop_loss_threshold = control::ReceiverAgent::kUnilateralDropLoss;
             auditor_->on_unilateral_action(obs);
           });
     }
@@ -453,8 +446,8 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
         link.queue_packets.value_or(queue_limit_for(config, link.bandwidth.bps()));
     const auto [ab, ba] = netw.add_duplex_link(a, b, link.bandwidth, link.latency, queue);
     if (link.red) {  // config.queues.red is finalize()'s
-      netw.link(ab).enable_red({});
-      netw.link(ba).enable_red({});
+      netw.link(ab).enable_red();
+      netw.link(ba).enable_red();
     }
     if (allocate) {
       capacities[core::LinkKey{a, b}] = link.bandwidth;

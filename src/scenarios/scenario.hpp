@@ -54,6 +54,10 @@ enum class ControllerKind {
   kNone,            ///< receivers stay at their initial subscription
 };
 
+/// Latency of every link of the built-in topologies (paper §IV), and the
+/// delay whose bandwidth-delay product sizes a default queue.
+inline constexpr sim::Time kLinkLatency = sim::Time::milliseconds(200);
+
 /// Configuration shared by every experiment (paper §IV defaults), grouped
 /// into sub-structs by subsystem (traffic, queues, control, domains).
 struct ScenarioConfig {
@@ -64,8 +68,9 @@ struct ScenarioConfig {
     /// Fluid integration step; must divide one second (see FluidEngine).
     sim::Time fluid_step{sim::Time::milliseconds(100)};
   };
-  /// Every queue holds its link's bandwidth-delay product, at least 30
-  /// packets (a topology file's `queue` option overrides per link).
+  /// Every queue holds its link's bandwidth-delay product at kLinkLatency,
+  /// at least 30 packets (a topology file's `queue` option overrides per
+  /// link).
   struct Queues {
     /// Use RED instead of drop-tail on every link (§V burst-loss ablation).
     bool red{false};
@@ -92,7 +97,6 @@ struct ScenarioConfig {
   std::uint64_t seed{1};
   core::Params params{};
   sim::Time duration{sim::Time::seconds(1200)};
-  sim::Time link_latency{sim::Time::milliseconds(200)};
   Traffic traffic{};
   Queues queues{};
   Control control{};
@@ -109,11 +113,12 @@ struct ScenarioConfig {
 ///   source -- backbone -- r0 --(bottleneck1)-- r1 -- N receivers (set 1)
 ///                           \--(bottleneck2)-- r2 -- N receivers (set 2)
 struct TopologyAOptions {
+  static constexpr units::BitsPerSec kBackbone{10e6};
+  static constexpr units::BitsPerSec kBottleneck1{256e3};  ///< optimal 3 layers (cum. 224 Kbps)
+  static constexpr units::BitsPerSec kBottleneck2{1e6};    ///< optimal 5 layers (cum. 992 Kbps)
+  static constexpr units::BitsPerSec kAccess{10e6};
+
   int receivers_per_set{2};
-  double backbone_bps{10e6};
-  double bottleneck1_bps{256e3};  ///< optimal 3 layers (cum. 224 Kbps)
-  double bottleneck2_bps{1e6};    ///< optimal 5 layers (cum. 992 Kbps)
-  double access_bps{10e6};
 
   /// Receiver churn: receiver i of each set joins at i * join_stagger, and
   /// the last ceil(leave_fraction * N) receivers of each set leave at
@@ -129,9 +134,10 @@ struct TopologyAOptions {
 ///
 ///   source_k -- access -- ra ==(shared, n*per_session)== rb -- receiver_k
 struct TopologyBOptions {
+  static constexpr units::BitsPerSec kPerSession{500e3};  ///< shared link = sessions * this
+  static constexpr units::BitsPerSec kAccess{10e6};
+
   int sessions{4};
-  double per_session_bps{500e3};  ///< shared link = sessions * this
-  double access_bps{10e6};
 
   /// Session k starts at k * session_stagger (the paper starts all sessions
   /// together; staggering is the late-joiner fairness ablation).
@@ -164,11 +170,10 @@ struct TieredOptions {
 /// row answers every receiver->controller route instead of N source-rooted
 /// tables (16 bytes * N per row would be ~160 GB at N = 100k).
 struct StarOptions {
+  static constexpr units::BitsPerSec kBackbone{1e9};
+  static constexpr units::BitsPerSec kAccess{1.2e6};  ///< optimal 5 layers (cum. 992 Kbps)
+
   int receivers{1000};
-  // Raw doubles to match the sibling topology option structs (one shared
-  // CLI/file-parsing surface).
-  double backbone_bps{1e9};  // NOLINT(raw-units)
-  double access_bps{1.2e6};  // NOLINT(raw-units) optimal 5 layers (cum. 992 Kbps)
 };
 
 /// A unicast CBR cross-flow between two named nodes, active in

@@ -15,20 +15,20 @@ namespace {
 using sim::Time;
 
 /// Writes a built-in topology as a description: nodes and links in the order
-/// the network numbers them, links at the config's latency with the default
+/// the network numbers them, links at kLinkLatency with the default
 /// bandwidth-delay-product queue.
 struct Writer {
   const ScenarioConfig& config;
   TopologyDescription d{};
 
-  void link(const std::string& a, const std::string& b, double bps) {
-    d.links.push_back({.a = a, .b = b, .bandwidth = units::BitsPerSec{bps},
-                       .latency = config.link_latency});
+  void link(const std::string& a, const std::string& b, units::BitsPerSec bandwidth) {
+    d.links.push_back({.a = a, .b = b, .bandwidth = bandwidth, .latency = kLinkLatency});
   }
   /// Adds node `name` and its link to `parent`.
-  void child(const std::string& parent, const std::string& name, double bps) {
+  void child(const std::string& parent, const std::string& name,
+             units::BitsPerSec bandwidth) {
     d.nodes.push_back(name);
-    link(parent, name, bps);
+    link(parent, name, bandwidth);
   }
   void source(int session, const std::string& node) {
     d.sources.push_back({.session = static_cast<std::uint16_t>(session), .node = node});
@@ -38,28 +38,28 @@ struct Writer {
     d.receivers.push_back({.node = node, .session = static_cast<std::uint16_t>(session),
                            .start = start, .name = std::move(name), .optimal = optimal});
   }
-  /// The closed-form optimum behind a bottleneck of `bps`.
-  [[nodiscard]] int optimal_for(double bps) const {
-    return config.params.layers.max_layers_for_bandwidth(units::BitsPerSec{bps});
+  /// The closed-form optimum behind a bottleneck of `bandwidth`.
+  [[nodiscard]] int optimal_for(units::BitsPerSec bandwidth) const {
+    return config.params.layers.max_layers_for_bandwidth(bandwidth);
   }
 };
 
 TopologyDescription describe(const ScenarioConfig& config, const TopologyAOptions& options) {
   Writer w{config};
   w.d.nodes = {"source", "r0", "r1", "r2"};
-  w.link("source", "r0", options.backbone_bps);
-  w.link("r0", "r1", options.bottleneck1_bps);
-  w.link("r0", "r2", options.bottleneck2_bps);
+  w.link("source", "r0", TopologyAOptions::kBackbone);
+  w.link("r0", "r1", TopologyAOptions::kBottleneck1);
+  w.link("r0", "r2", TopologyAOptions::kBottleneck2);
   w.source(0, "source");
   const int n = options.receivers_per_set;
   const int leavers = static_cast<int>(std::ceil(options.leave_fraction * n));
   for (int set = 1; set <= 2; ++set) {
     const std::string prefix = "set" + std::to_string(set);
-    const int optimal =
-        w.optimal_for(set == 1 ? options.bottleneck1_bps : options.bottleneck2_bps);
+    const int optimal = w.optimal_for(set == 1 ? TopologyAOptions::kBottleneck1
+                                               : TopologyAOptions::kBottleneck2);
     for (int i = 0; i < n; ++i) {
       const std::string node = prefix + "_recv" + std::to_string(i);
-      w.child(set == 1 ? "r1" : "r2", node, options.access_bps);
+      w.child(set == 1 ? "r1" : "r2", node, TopologyAOptions::kAccess);
       w.receiver(node, 0, prefix + "/" + std::to_string(i), optimal, options.join_stagger * i);
       if (options.leave_at > Time::zero() && i >= n - leavers) {
         w.d.receivers.back().stop = options.leave_at;
@@ -73,17 +73,17 @@ TopologyDescription describe(const ScenarioConfig& config, const TopologyAOption
 TopologyDescription describe(const ScenarioConfig& config, const TopologyBOptions& options) {
   Writer w{config};
   w.d.nodes = {"ra", "rb"};
-  w.link("ra", "rb", options.per_session_bps * options.sessions);
+  w.link("ra", "rb", TopologyBOptions::kPerSession * options.sessions);
   for (int k = 0; k < options.sessions; ++k) {
     const std::string source = "source" + std::to_string(k);
     w.d.nodes.push_back(source);
-    w.link(source, "ra", options.access_bps);
+    w.link(source, "ra", TopologyBOptions::kAccess);
     w.source(k, source);
   }
-  const int optimal = w.optimal_for(options.per_session_bps);
+  const int optimal = w.optimal_for(TopologyBOptions::kPerSession);
   for (int k = 0; k < options.sessions; ++k) {
     const std::string node = "recv" + std::to_string(k);
-    w.child("rb", node, options.access_bps);
+    w.child("rb", node, TopologyBOptions::kAccess);
     w.receiver(node, k, "session" + std::to_string(k), optimal, options.session_stagger * k);
   }
   // "The controller agent was stationed at one of the source nodes."
@@ -95,19 +95,21 @@ TopologyDescription describe(const ScenarioConfig& config, const TieredOptions& 
   sim::Rng rng = sim::Rng{config.seed}.fork("tiered-topology");
   Writer w{config};
   w.d.nodes = {"source"};
-  w.child("source", "national", options.backbone_bps);
+  const auto draw = [&rng](double min_bps, double max_bps) {
+    return units::BitsPerSec{rng.uniform(min_bps, max_bps)};
+  };
+  w.child("source", "national", units::BitsPerSec{options.backbone_bps});
   w.source(0, "source");
   for (int r = 0; r < options.regionals; ++r) {
     const std::string regional = "regional" + std::to_string(r);
-    w.child("national", regional,
-            rng.uniform(options.regional_min_bps, options.regional_max_bps));
+    w.child("national", regional, draw(options.regional_min_bps, options.regional_max_bps));
     for (int l = 0; l < options.locals_per_regional; ++l) {
       const std::string local = "local" + std::to_string(r) + "_" + std::to_string(l);
-      w.child(regional, local, rng.uniform(options.local_min_bps, options.local_max_bps));
+      w.child(regional, local, draw(options.local_min_bps, options.local_max_bps));
       for (int i = 0; i < options.receivers_per_local; ++i) {
         const std::string node =
             "recv" + std::to_string(r) + "_" + std::to_string(l) + "_" + std::to_string(i);
-        w.child(local, node, rng.uniform(options.access_min_bps, options.access_max_bps));
+        w.child(local, node, draw(options.access_min_bps, options.access_max_bps));
         w.receiver(node, 0, node, std::nullopt);  // the allocator's optimum
       }
     }
@@ -119,12 +121,12 @@ TopologyDescription describe(const ScenarioConfig& config, const TieredOptions& 
 TopologyDescription describe(const ScenarioConfig& config, const StarOptions& options) {
   Writer w{config};
   w.d.nodes = {"source"};
-  w.child("source", "hub", options.backbone_bps);
+  w.child("source", "hub", StarOptions::kBackbone);
   w.source(0, "source");
-  const int optimal = w.optimal_for(options.access_bps);
+  const int optimal = w.optimal_for(StarOptions::kAccess);
   for (int i = 0; i < options.receivers; ++i) {
     const std::string node = "recv" + std::to_string(i);
-    w.child("hub", node, options.access_bps);
+    w.child("hub", node, StarOptions::kAccess);
     w.receiver(node, 0, "star/" + std::to_string(i), optimal);
   }
   w.d.controller_node = "source";
@@ -168,12 +170,6 @@ ScenarioBuilder& ScenarioBuilder::star(const StarOptions& options) {
 ScenarioBuilder& ScenarioBuilder::topology(TopologyDescription description) {
   select("topology(description)");
   description_ = std::move(description);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::topology_file(const std::string& path) {
-  select("topology_file");
-  description_ = parse_topology_file(path);
   return *this;
 }
 

@@ -22,8 +22,8 @@ namespace tsim::scenarios {
 /// `config.audit` turns on invariant auditing); the builder only picks the
 /// topology and the extras below.
 ///
-/// Exactly one topology_a / topology_b / tiered / star / topology() /
-/// topology_file() call selects the network shape; build() throws
+/// Exactly one topology_a / topology_b / tiered / star / topology() call
+/// selects the network shape; build() throws
 /// std::logic_error if none (or more than one) was chosen. Every one of them
 /// fills the builder's single TopologyDescription (the built-in topologies
 /// generate theirs from their options, with their result labels and, for A,
@@ -47,8 +47,6 @@ class ScenarioBuilder {
   ScenarioBuilder& star(const StarOptions& options = {});
   /// A parsed topology file; its `fault` lines install automatically.
   ScenarioBuilder& topology(TopologyDescription description);
-  /// Parses `path` as a topology file (throws std::runtime_error on errors).
-  ScenarioBuilder& topology_file(const std::string& path);
 
   /// --- extras --------------------------------------------------------------
   /// Adds the plan's events on top of whatever the topology declares.

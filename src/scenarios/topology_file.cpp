@@ -5,12 +5,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace tsim::scenarios {
@@ -493,18 +491,6 @@ ParseResult parse_topology(std::string_view text) {
   ParseResult result;
   result.description = std::move(desc);
   return result;
-}
-
-TopologyDescription parse_topology_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error("cannot read topology file '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  ParseResult result = parse_topology(text.str());
-  if (!result.ok()) {
-    throw std::runtime_error("topology file '" + path + "': " + result.error);
-  }
-  return std::move(*result.description);
 }
 
 }  // namespace tsim::scenarios

@@ -120,11 +120,6 @@ struct ParseResult {
 /// set and the fault plan can run.
 [[nodiscard]] ParseResult parse_topology(std::string_view text);
 
-/// Reads and parses a topology file from disk. Throws std::runtime_error on
-/// unreadable files or parse errors (message includes the parser's
-/// line-numbered diagnostic).
-[[nodiscard]] TopologyDescription parse_topology_file(const std::string& path);
-
 /// Parses "256kbps" / "1.5Mbps" / "8000bps" (case-insensitive suffix).
 /// Returns a rate <= 0 on malformed input.
 [[nodiscard]] units::BitsPerSec parse_bandwidth(std::string_view token);

@@ -37,7 +37,10 @@ void DiscoveryService::sample_all() {
 
     std::deque<TopologySnapshot>& hist = history_[session];
     hist.push_back(std::move(snap));
-    while (hist.size() > config_.history_limit) hist.pop_front();
+    // Every later query's cutoff is at or after this one, so a snapshot
+    // followed by one captured by the cutoff is never served again.
+    const sim::Time cutoff = simulation_.now() - config_.staleness;
+    while (hist.size() > 1 && hist[1].captured_at <= cutoff) hist.pop_front();
   }
   simulation_.after(config_.sample_period, [this]() { sample_all(); });
 }

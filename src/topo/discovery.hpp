@@ -21,13 +21,13 @@ namespace tsim::topo {
 /// the controller's domain, possibly out of date; the *only* property it
 /// studies is staleness (Fig 10). We therefore sample the ground-truth trees
 /// periodically and serve, at query time `t`, the newest sample captured at
-/// or before `t - staleness`.
+/// or before `t - staleness`. Queries never go back in time, so each session
+/// keeps only that sample and the ones captured after it.
 class DiscoveryService final : public TopologyProvider {
  public:
   struct Config {
     sim::Time sample_period{sim::Time::seconds(1)};
     sim::Time staleness{sim::Time::zero()};
-    std::size_t history_limit{128};
 
     /// Domain scoping (§II / Fig 3): when non-empty, snapshots contain only
     /// tree edges with both endpoints inside the domain, rooted at
@@ -51,7 +51,6 @@ class DiscoveryService final : public TopologyProvider {
   [[nodiscard]] const TopologySnapshot* snapshot(net::SessionId session) const override;
 
   [[nodiscard]] const Config& config() const { return config_; }
-  void set_staleness(sim::Time staleness) { config_.staleness = staleness; }
 
  private:
   void sample_all();

@@ -9,6 +9,10 @@ namespace tsim::transport {
 
 namespace {
 constexpr std::uint32_t kAckBytes = 40;
+constexpr std::uint32_t kMssBytes = 1000;
+constexpr double kInitialSsthreshPackets = 64.0;
+/// RFC 6298 floor: survives queueing-delay RTT spikes.
+constexpr sim::Time kMinRto = sim::Time::seconds(1);
 }
 
 TcpFlow::TcpFlow(sim::Simulation& simulation, net::Network& network,
@@ -16,7 +20,7 @@ TcpFlow::TcpFlow(sim::Simulation& simulation, net::Network& network,
     : simulation_{simulation},
       network_{network},
       config_{config},
-      ssthresh_{config.initial_ssthresh_packets} {
+      ssthresh_{kInitialSsthreshPackets} {
   // Receiver side: ACK every arriving segment of this flow.
   demuxes.at(config_.dst).add_handler(
       net::PacketKind::kTcpData, [this](const net::PacketRef& p) {
@@ -53,7 +57,7 @@ void TcpFlow::maybe_send() {
   const std::uint64_t total_segments =
       config_.transfer_bytes == 0
           ? std::numeric_limits<std::uint64_t>::max()
-          : (config_.transfer_bytes + config_.mss_bytes - 1) / config_.mss_bytes;
+          : (config_.transfer_bytes + kMssBytes - 1) / kMssBytes;
   while (next_seq_ - highest_acked_ < static_cast<std::uint64_t>(cwnd_) &&
          next_seq_ < total_segments) {
     send_segment(next_seq_, false);
@@ -67,7 +71,7 @@ void TcpFlow::send_segment(std::uint64_t seq, bool retransmit) {
 
   net::Packet packet;
   packet.kind = net::PacketKind::kTcpData;
-  packet.size_bytes = config_.mss_bytes;
+  packet.size_bytes = kMssBytes;
   packet.src = config_.src;
   packet.dst = config_.dst;
   packet.control = std::move(payload);
@@ -85,13 +89,13 @@ void TcpFlow::send_segment(std::uint64_t seq, bool retransmit) {
 void TcpFlow::on_data_at_receiver(const TcpSegment& segment) {
   if (segment.seq == rcv_next_) {
     ++rcv_next_;
-    delivered_bytes_ += config_.mss_bytes;
+    delivered_bytes_ += kMssBytes;
     // Drain any buffered out-of-order segments.
     auto it = out_of_order_.find(rcv_next_);
     while (it != out_of_order_.end()) {
       out_of_order_.erase(it);
       ++rcv_next_;
-      delivered_bytes_ += config_.mss_bytes;
+      delivered_bytes_ += kMssBytes;
       it = out_of_order_.find(rcv_next_);
     }
   } else if (segment.seq > rcv_next_) {
@@ -152,7 +156,7 @@ void TcpFlow::on_ack(std::uint64_t ack_seq) {
     const std::uint64_t total_segments =
         config_.transfer_bytes == 0
             ? std::numeric_limits<std::uint64_t>::max()
-            : (config_.transfer_bytes + config_.mss_bytes - 1) / config_.mss_bytes;
+            : (config_.transfer_bytes + kMssBytes - 1) / kMssBytes;
     if (highest_acked_ >= total_segments) {
       finished_ = true;
       completion_time_ = simulation_.now();
@@ -179,7 +183,7 @@ void TcpFlow::on_ack(std::uint64_t ack_seq) {
 
 void TcpFlow::arm_rto() {
   simulation_.cancel(rto_timer_);
-  sim::Time rto = config_.min_rto;
+  sim::Time rto = kMinRto;
   if (have_rtt_) {
     const sim::Time computed = srtt_ + 4 * rttvar_;
     rto = std::max(rto, computed);

@@ -13,16 +13,14 @@ namespace tsim::transport {
 /// the substrate for the paper's §VI TCP-friendliness discussion. Implements
 /// slow start, congestion avoidance (AIMD), fast retransmit on 3 duplicate
 /// ACKs, and RTO-based recovery with an exponentially smoothed RTT estimate.
-/// No SACK, no delayed ACKs, fixed MSS — the congestion behaviour is what
-/// matters here, not wire fidelity.
+/// No SACK, no delayed ACKs, a fixed 1000-byte MSS, an initial ssthresh of
+/// 64 segments and a 1 s RTO floor — the congestion behaviour is what matters
+/// here, not wire fidelity.
 class TcpFlow {
  public:
   struct Config {
     net::NodeId src{net::kInvalidNode};
     net::NodeId dst{net::kInvalidNode};
-    std::uint32_t mss_bytes{1000};
-    double initial_ssthresh_packets{64.0};
-    sim::Time min_rto{sim::Time::seconds(1)};  // RFC 6298 floor: survives queueing-delay RTT spikes
     sim::Time start{sim::Time::zero()};
     sim::Time stop{sim::Time::max()};
     /// Bytes to transfer; 0 = unbounded (a long-lived flow).

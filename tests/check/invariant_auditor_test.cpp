@@ -138,7 +138,7 @@ struct TreeAuditFixture : ::testing::Test {
   net::NodeId r{network.add_node("r")};
   net::NodeId a{network.add_node("a")};
   net::NodeId b{network.add_node("b")};
-  mcast::MulticastRouter router{simulation, network, {Time::zero(), 1_s}};
+  mcast::MulticastRouter router{simulation, network, {1_s}};
 
   TreeAuditFixture() {
     network.add_duplex_link(src, r, tsim::units::BitsPerSec{10e6}, 10_ms);

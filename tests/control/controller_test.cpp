@@ -28,7 +28,7 @@ struct ControlFixture : ::testing::Test {
   net::NodeId src{network.add_node("src")};
   net::NodeId r{network.add_node("r")};
   net::NodeId rcv{network.add_node("rcv")};
-  mcast::MulticastRouter mcast{simulation, network, {Time::zero(), 1_s}};
+  mcast::MulticastRouter mcast{simulation, network, {1_s}};
   transport::DemuxRegistry demuxes{network};
   std::unique_ptr<topo::DiscoveryService> discovery;
   std::unique_ptr<ControllerAgent> controller;
@@ -44,7 +44,7 @@ struct ControlFixture : ::testing::Test {
     mcast.set_session_source(0, src);
 
     discovery = std::make_unique<topo::DiscoveryService>(
-        simulation, mcast, topo::DiscoveryService::Config{1_s, staleness, 64});
+        simulation, mcast, topo::DiscoveryService::Config{1_s, staleness});
 
     ControllerAgent::Config ccfg;
     ccfg.node = src;
@@ -67,7 +67,7 @@ struct ControlFixture : ::testing::Test {
     ecfg.report_period = report_period;
     endpoint = std::make_unique<transport::ReceiverEndpoint>(simulation, network, mcast,
                                                              demuxes.at(rcv), ecfg);
-    agent = std::make_unique<ReceiverAgent>(simulation, *endpoint, ReceiverAgent::Config{});
+    agent = std::make_unique<ReceiverAgent>(simulation, *endpoint, ccfg.params.interval);
 
     discovery->start();
     controller->start();
@@ -129,6 +129,25 @@ TEST_F(ControlFixture, SubIntervalReportingStillConverges) {
   EXPECT_EQ(endpoint->subscription(), 6);
   // Twice the report traffic reached the controller.
   EXPECT_GT(controller->reports_received(), 45u);
+}
+
+TEST_F(ControlFixture, ReportHistoryKeepsOnlyReadableReports) {
+  // 2 s reports and 2 s intervals without staleness: no interval reads a
+  // report whose window ended three intervals (6 s) or more before now, so
+  // about three reports stay.
+  build(10e6);
+  simulation.run_until(300_s);
+  EXPECT_GT(controller->report_history_size(), 0u);
+  EXPECT_LE(controller->report_history_size(), 4u);
+}
+
+TEST_F(ControlFixture, ReportHistoryCoversTheStaleWindow) {
+  // With 4 s of staleness the readable span reaches 4 s + 6 s back: about
+  // five 2 s reports.
+  build(10e6, 4_s);
+  simulation.run_until(300_s);
+  EXPECT_GE(controller->report_history_size(), 5u);
+  EXPECT_LE(controller->report_history_size(), 6u);
 }
 
 TEST_F(ControlFixture, SlowReportingStillConverges) {
@@ -237,9 +256,8 @@ TEST(ReceiverAgentTest, UnilateralDropOnSuggestionSilence) {
   ecfg.initial_subscription = 4;
   transport::ReceiverEndpoint endpoint{simulation, network, mcast, demuxes.at(rcv), ecfg};
 
-  ReceiverAgent::Config acfg;
-  acfg.unilateral_timeout = 6_s;
-  ReceiverAgent agent{simulation, endpoint, acfg};
+  // Expects a suggestion every 2 s, so it acts alone after 6 s of silence.
+  ReceiverAgent agent{simulation, endpoint, 2_s};
 
   source.start();
   endpoint.start();

@@ -22,7 +22,7 @@ struct McastFixture : ::testing::Test {
   net::NodeId r{network.add_node("r")};
   net::NodeId a{network.add_node("a")};
   net::NodeId b{network.add_node("b")};
-  MulticastRouter router{simulation, network, {Time::zero(), 1_s}};
+  MulticastRouter router{simulation, network, {1_s}};
 
   McastFixture() {
     network.add_duplex_link(src, r, tsim::units::BitsPerSec{10e6}, 10_ms);
@@ -114,77 +114,6 @@ TEST_F(McastFixture, LeaveLatencyKeepsTrafficFlowingUpstream) {
   EXPECT_TRUE(pruned->edges.empty());
 }
 
-TEST_F(McastFixture, JoinLatencyDelaysDelivery) {
-  MulticastRouter delayed{simulation, network, {500_ms, 1_s}};
-  delayed.set_session_source(1, src);
-  const net::GroupAddr g{1, 1};
-  delayed.join(a, g);
-  EXPECT_FALSE(delayed.is_member(a, g));
-  simulation.run_until(600_ms);
-  EXPECT_TRUE(delayed.is_member(a, g));
-}
-
-TEST_F(McastFixture, LeaveRacingPendingJoinCancelsIt) {
-  MulticastRouter delayed{simulation, network, {500_ms, 1_s}};
-  delayed.set_session_source(1, src);
-  const net::GroupAddr g{1, 1};
-  delayed.join(a, g);
-  delayed.leave(a, g);
-  simulation.run_until(1_s);
-  EXPECT_FALSE(delayed.is_member(a, g));
-}
-
-TEST_F(McastFixture, LeaveRacingPendingJoinGraftsNoBranch) {
-  // Nonzero join AND leave latency: a leave that races the in-flight graft
-  // must cancel it cleanly. The buggy path set forward_until = now +
-  // leave_latency, so the next rebuild grafted a branch that never carried
-  // traffic and forwarded onto it for the whole leave-latency window.
-  MulticastRouter delayed{simulation, network, {500_ms, 1_s}};
-  delayed.set_session_source(1, src);
-  const net::GroupAddr g{1, 1};
-  delayed.join(a, g);       // graft in flight until t=500ms
-  simulation.run_until(100_ms);
-  delayed.leave(a, g);      // races the pending graft
-  simulation.run_until(200_ms);
-
-  const GroupTree* tree = delayed.tree(g);
-  ASSERT_NE(tree, nullptr);
-  EXPECT_TRUE(tree->edges.empty())
-      << "a never-completed graft must not leave a forwarding branch";
-  EXPECT_FALSE(delayed.is_member(a, g));
-
-  // The cancelled join must also not resurrect once the original graft timer
-  // fires (t=500ms) or the leave-latency window (1 s) elapses.
-  simulation.run_until(2_s);
-  const GroupTree* later = delayed.tree(g);
-  ASSERT_NE(later, nullptr);
-  EXPECT_TRUE(later->edges.empty());
-  EXPECT_FALSE(delayed.is_member(a, g));
-}
-
-TEST_F(McastFixture, LeaveDuringRejoinGraftKeepsEarlierForwardWindow) {
-  // active -> leave (real forward window opens) -> rejoin (graft pending) ->
-  // leave again while pending. The second leave cancels only the pending
-  // graft; the forward window earned by the first (real) leave still stands.
-  MulticastRouter delayed{simulation, network, {500_ms, 1_s}};
-  delayed.set_session_source(1, src);
-  const net::GroupAddr g{1, 1};
-  delayed.join(a, g);
-  simulation.run_until(600_ms);  // graft completed, a is active
-  ASSERT_TRUE(delayed.is_member(a, g));
-  delayed.leave(a, g);           // forward_until = 1.6s
-  delayed.join(a, g);            // new graft in flight until 1.1s
-  delayed.leave(a, g);           // races it; cancels the graft only
-  simulation.run_until(700_ms);
-  const GroupTree* tree = delayed.tree(g);
-  ASSERT_NE(tree, nullptr);
-  EXPECT_EQ(tree->edges.size(), 2u);  // src->r, r->a still forwarding
-  simulation.run_until(2_s);          // past forward_until: branch pruned
-  const GroupTree* pruned = delayed.tree(g);
-  ASSERT_NE(pruned, nullptr);
-  EXPECT_TRUE(pruned->edges.empty());
-}
-
 TEST_F(McastFixture, MembersListsActiveOnly) {
   const net::GroupAddr g{0, 1};
   router.join(a, g);
@@ -219,7 +148,7 @@ TEST(SessionTreeEdgesTest, MergedLayersEqualSortedUnionOfOverlappingTrees) {
     network.add_duplex_link(hubs[i % 3], leaves[i], tsim::units::BitsPerSec{10e6}, 10_ms);
   }
   network.compute_routes();
-  MulticastRouter router{simulation, network, {Time::zero(), 1_s}};
+  MulticastRouter router{simulation, network, {1_s}};
   router.set_session_source(0, src);
   // Layer l reaches leaf i when (i * l) % 7 < 4: five partly overlapping
   // member sets. Layer 6 has no members and no tree.

@@ -60,7 +60,7 @@ struct GoldenFixture {
   NodeId r{network.add_node("r")};
   NodeId a{network.add_node("a")};
   NodeId b{network.add_node("b")};
-  mcast::MulticastRouter mcast{simulation, network, {Time::zero(), 1_s}};
+  mcast::MulticastRouter mcast{simulation, network, {1_s}};
   transport::DemuxRegistry demuxes{network};
 
   GoldenFixture() {

@@ -22,7 +22,7 @@ struct RedFixture : ::testing::Test {
     link = network.add_link(a, b, tsim::units::BitsPerSec{bps}, 10_ms, queue);
     network.add_link(b, a, tsim::units::BitsPerSec{bps}, 10_ms, queue);
     network.compute_routes();
-    if (red) network.link(link).enable_red({});
+    if (red) network.link(link).enable_red();
   }
 
   void offer(double rate_bps, Time duration) {
@@ -145,7 +145,7 @@ TEST_F(RedFixture, NoSpuriousDropsAfterIdle) {
 TEST_F(RedFixture, RedFlagAndAccessors) {
   build(1e6, 50, false);
   EXPECT_FALSE(network.link(link).red_enabled());
-  network.link(link).enable_red({});
+  network.link(link).enable_red();
   EXPECT_TRUE(network.link(link).red_enabled());
   EXPECT_DOUBLE_EQ(network.link(link).red_average_queue(), 0.0);
 }

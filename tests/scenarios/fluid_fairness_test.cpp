@@ -51,8 +51,8 @@ ScenarioConfig engine_config(TrafficEngine engine) {
 
 TEST(FluidFairnessTest, TwoFluidSessionsSplitSharedBottleneckLikePacketEngine) {
   // Topology B shrunk to the minimal fairness shape: 2 sessions, shared link
-  // sized for exactly 2 * per_session_bps, so the fair outcome is each
-  // session at its declared optimal.
+  // sized for exactly 2 * TopologyBOptions::kPerSession, so the fair outcome
+  // is each session at its declared optimal.
   TopologyBOptions options;
   options.sessions = 2;
   auto packet =

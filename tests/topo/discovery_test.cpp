@@ -29,7 +29,7 @@ struct DiscoveryFixture : ::testing::Test {
 };
 
 TEST_F(DiscoveryFixture, SnapshotCapturesTreeAndReceivers) {
-  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero(), 16}};
+  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero()}};
   discovery.track_session(0, 6);
   mcast.join(a, net::GroupAddr{0, 1});
   discovery.start();
@@ -55,7 +55,7 @@ TEST_F(DiscoveryFixture, UntrackedSessionReturnsNull) {
 }
 
 TEST_F(DiscoveryFixture, StalenessServesOldTree) {
-  DiscoveryService discovery{simulation, mcast, {1_s, 5_s, 32}};
+  DiscoveryService discovery{simulation, mcast, {1_s, 5_s}};
   discovery.track_session(0, 6);
   mcast.join(a, net::GroupAddr{0, 1});
   discovery.start();
@@ -74,8 +74,8 @@ TEST_F(DiscoveryFixture, StalenessServesOldTree) {
   EXPECT_EQ(new_snap->receivers.size(), 2u);
 }
 
-TEST_F(DiscoveryFixture, StalenessLongerThanHistoryYieldsNull) {
-  DiscoveryService discovery{simulation, mcast, {1_s, 60_s, 8}};
+TEST_F(DiscoveryFixture, StalenessLongerThanTheRunYieldsNull) {
+  DiscoveryService discovery{simulation, mcast, {1_s, 60_s}};
   discovery.track_session(0, 6);
   discovery.start();
   simulation.run_until(5_s);
@@ -83,26 +83,36 @@ TEST_F(DiscoveryFixture, StalenessLongerThanHistoryYieldsNull) {
   EXPECT_EQ(discovery.snapshot(0), nullptr);
 }
 
-TEST_F(DiscoveryFixture, HistoryIsBounded) {
-  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero(), 4}};
+TEST_F(DiscoveryFixture, ZeroStalenessServesTheNewestSnapshot) {
+  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero()}};
   discovery.track_session(0, 6);
   discovery.start();
   simulation.run_until(100_s);
-  // With a 4-entry history and zero staleness, the snapshot is the latest.
   const TopologySnapshot* snap = discovery.snapshot(0);
   ASSERT_NE(snap, nullptr);
-  EXPECT_GE(snap->captured_at, 96_s);
+  EXPECT_EQ(snap->captured_at, 100_s);
 }
 
-TEST_F(DiscoveryFixture, SetStalenessTakesEffect) {
-  DiscoveryService discovery{simulation, mcast, {1_s, Time::zero(), 64}};
+TEST_F(DiscoveryFixture, LongStalenessServesTheSnapshotFromThatLongAgo) {
+  // 150 s of staleness at 1 s sampling needs the snapshot of 150 samples
+  // ago: the history keeps it however many samples that is.
+  DiscoveryService discovery{simulation, mcast, {1_s, 150_s}};
   discovery.track_session(0, 6);
+  mcast.join(a, net::GroupAddr{0, 1});
   discovery.start();
-  simulation.run_until(20_s);
-  const Time fresh = discovery.snapshot(0)->captured_at;
-  discovery.set_staleness(10_s);
-  const Time stale = discovery.snapshot(0)->captured_at;
-  EXPECT_GE(fresh, stale + 9_s);
+  simulation.at(200_s, [&]() { mcast.join(b, net::GroupAddr{0, 1}); });
+  simulation.run_until(300_s);
+  const TopologySnapshot* snap = discovery.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->captured_at, 150_s);
+  EXPECT_EQ(snap->receivers.size(), 1u);
+
+  // Later queries move forward with time and reach b's join.
+  simulation.run_until(351_s);
+  const TopologySnapshot* later = discovery.snapshot(0);
+  ASSERT_NE(later, nullptr);
+  EXPECT_EQ(later->captured_at, 201_s);
+  EXPECT_EQ(later->receivers.size(), 2u);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ struct EndpointFixture : ::testing::Test {
   net::Network network{simulation};
   net::NodeId src{network.add_node("src")};
   net::NodeId rcv{network.add_node("rcv")};
-  mcast::MulticastRouter mcast{simulation, network, {Time::zero(), 500_ms}};
+  mcast::MulticastRouter mcast{simulation, network, {500_ms}};
   DemuxRegistry demuxes{network};
 
   std::vector<ReceiverReport> reports_at_src;
