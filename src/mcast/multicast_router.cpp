@@ -1,17 +1,16 @@
 #include "mcast/multicast_router.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace tsim::mcast {
 
 namespace {
-/// Sorts `edges` by (parent, child) and drops duplicates: the sequence a
-/// std::set of the same pairs would iterate, built in one contiguous buffer.
-void sort_unique(std::vector<std::pair<net::NodeId, net::NodeId>>& edges) {
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+void require_node(const net::Network& network, net::NodeId node, const char* what) {
+  if (node >= network.node_count()) {
+    throw std::out_of_range(std::string{what} + ": unknown node " + std::to_string(node));
+  }
 }
 }  // namespace
 
@@ -25,6 +24,7 @@ MulticastRouter::MulticastRouter(sim::Simulation& simulation, net::Network& netw
     : MulticastRouter{simulation, network, Config{}} {}
 
 void MulticastRouter::set_session_source(net::SessionId session, net::NodeId source) {
+  require_node(network_, source, "MulticastRouter::set_session_source");
   session_sources_[session] = source;
 }
 
@@ -47,7 +47,9 @@ void MulticastRouter::join(net::NodeId member, net::GroupAddr group) {
   if (session_sources_.find(group.session) == session_sources_.end()) {
     throw std::logic_error("MulticastRouter::join: session source not set");
   }
+  require_node(network_, member, "MulticastRouter::join");
   GroupState& state = group_state(group);
+  if (member >= state.members.size()) state.members.resize(network_.node_count());
   MemberState& ms = state.members[member];
   if (ms.local_active) return;
   ms.local_active = true;
@@ -59,9 +61,8 @@ void MulticastRouter::leave(net::NodeId member, net::GroupAddr group) {
   const auto git = groups_.find(group);
   if (git == groups_.end()) return;
   GroupState& state = git->second;
-  const auto mit = state.members.find(member);
-  if (mit == state.members.end()) return;
-  MemberState& ms = mit->second;
+  if (member >= state.members.size()) return;
+  MemberState& ms = state.members[member];
   if (!ms.local_active) return;
 
   ms.local_active = false;  // the host stops listening immediately
@@ -78,61 +79,99 @@ void MulticastRouter::leave(net::NodeId member, net::GroupAddr group) {
 bool MulticastRouter::is_member(net::NodeId member, net::GroupAddr group) const {
   const auto git = groups_.find(group);
   if (git == groups_.end()) return false;
-  const auto mit = git->second.members.find(member);
-  return mit != git->second.members.end() && mit->second.local_active;
+  const std::vector<MemberState>& members = git->second.members;
+  return member < members.size() && members[member].local_active;
 }
 
 std::vector<net::NodeId> MulticastRouter::members(net::GroupAddr group) const {
   std::vector<net::NodeId> result;
   const auto git = groups_.find(group);
   if (git == groups_.end()) return result;
-  for (const auto& [node, ms] : git->second.members) {  // NOLINT-determinism(sorted below)
-    if (ms.local_active) result.push_back(node);
+  const std::vector<MemberState>& members = git->second.members;
+  for (net::NodeId node = 0; node < members.size(); ++node) {
+    if (members[node].local_active) result.push_back(node);
   }
-  std::sort(result.begin(), result.end());
   return result;
 }
 
 void MulticastRouter::rebuild_tree(net::GroupAddr group, GroupState& state) {
-  GroupTree tree;
+  GroupTree& tree = state.tree;
   tree.source = session_source(group.session);
   const sim::Time now = simulation_.now();
-
   const net::RoutingTable& routes = network_.routes();
-  tree.fan.assign(network_.node_count(), {});
+  const std::uint32_t node_count = network_.node_count();
+  tree.fan.assign(node_count, {});
+  if (first_parent_.size() < node_count) first_parent_.resize(node_count, net::kInvalidNode);
+  second_parents_.clear();
 
-  // Per-member work is independent and its edges are sorted and deduplicated
-  // below, so the hash iteration order never reaches the finished tree. The
-  // CSR deliver flags land in distinct NodeId slots, so order never shows
-  // there either.
-  for (const auto& [member, ms] : state.members) {  // NOLINT-determinism(order-free)
+  // Each member carrying traffic grafts its route, walked hop by hop as
+  // RoutingTable::path() would and kept only when it reaches the member. A
+  // child's first parent is recorded and counted on that parent's fan slot.
+  // Routes toward different members may enter one child from two parents
+  // (equal-cost meshes do); that rarer edge goes to second_parents_.
+  for (net::NodeId member = 0; member < state.members.size(); ++member) {
+    const MemberState& ms = state.members[member];
     const bool carries_traffic = ms.local_active || ms.forward_until > now;
     if (!carries_traffic) continue;
     if (ms.local_active) tree.fan[member].deliver_locally = 1;
     if (member == tree.source) continue;
-    const std::vector<net::NodeId> path = routes.path(tree.source, member);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      tree.edges.emplace_back(path[i], path[i + 1]);
+    hops_.clear();
+    for (net::NodeId at = tree.source; at != member && at != net::kInvalidNode;) {
+      at = routes.next_node(at, member);
+      hops_.push_back(at);
+    }
+    if (hops_.back() != member) continue;  // unreachable: no edges at all
+    net::NodeId parent = tree.source;
+    for (const net::NodeId child : hops_) {
+      net::NodeId& first = first_parent_[child];
+      if (first == net::kInvalidNode) {
+        first = parent;
+        ++tree.fan[parent].count;
+      } else if (first != parent) {
+        second_parents_.emplace_back(child, parent);
+      }
+      parent = child;
     }
   }
-  sort_unique(tree.edges);
+  std::sort(second_parents_.begin(), second_parents_.end());
+  second_parents_.erase(std::unique(second_parents_.begin(), second_parents_.end()),
+                        second_parents_.end());
+  for (const auto& [child, parent] : second_parents_) ++tree.fan[parent].count;
 
-  // The edges are sorted by (parent, child), so each parent's links form one
-  // contiguous run: exactly the CSR span route() replicates from.
-  tree.fan_links.reserve(tree.edges.size());
-  for (const auto& [parent, child] : tree.edges) {
-    const net::LinkId link = routes.next_hop(parent, child);
+  // Counting pass by parent: each parent's span follows those of the lower
+  // parents, and placing children in id order fills every span in child
+  // order, so `edges` comes out sorted by (parent, child) without a sort.
+  std::uint32_t offset = 0;
+  for (GroupTree::FanSlot& slot : tree.fan) {
+    if (slot.count == 0) continue;
+    slot.offset = offset;
+    offset += slot.count;
+    slot.count = 0;
+  }
+  tree.edges.resize(offset);
+  const auto place = [&tree](net::NodeId parent, net::NodeId child) {
     GroupTree::FanSlot& slot = tree.fan[parent];
-    if (slot.count == 0) slot.offset = static_cast<std::uint32_t>(tree.fan_links.size());
-    if (slot.count == std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("MulticastRouter: per-node fan-out exceeds FanSlot range");
+    tree.edges[slot.offset + slot.count++] = {parent, child};
+  };
+  auto second = second_parents_.cbegin();
+  for (net::NodeId child = 0; child < node_count; ++child) {
+    net::NodeId& first = first_parent_[child];
+    if (first == net::kInvalidNode) continue;
+    place(first, child);
+    first = net::kInvalidNode;
+    for (; second != second_parents_.cend() && second->first == child; ++second) {
+      place(second->second, child);
     }
-    ++slot.count;
-    tree.fan_links.push_back(link);
+  }
+
+  // Slot i of the pool is the link of edges[i], so each parent's span lists
+  // its out-links in edge order: exactly the CSR span route() replicates from.
+  tree.fan_links.resize(tree.edges.size());
+  for (std::size_t i = 0; i < tree.edges.size(); ++i) {
+    tree.fan_links[i] = routes.next_hop(tree.edges[i].first, tree.edges[i].second);
   }
 
   tree.built_topology_version = network_.topology_version();
-  state.tree = std::move(tree);
   state.tree_dirty = false;
   if (audit_hook_) audit_hook_(group, state.tree);
 }
@@ -180,8 +219,8 @@ std::vector<std::pair<net::NodeId, net::NodeId>> MulticastRouter::session_tree_e
   for (net::LayerId layer = 1; layer <= max_layer; ++layer) {
     const GroupTree* t = tree(net::GroupAddr{session, layer});
     if (t == nullptr) continue;
-    // Both runs are sorted and unique, so a merge keeps the union in the
-    // order sort_unique of the concatenation would give.
+    // Both runs are sorted and unique, so merging them and dropping adjacent
+    // duplicates gives the sorted union.
     const auto middle = static_cast<std::ptrdiff_t>(edges.size());
     edges.insert(edges.end(), t->edges.begin(), t->edges.end());
     std::inplace_merge(edges.begin(), edges.begin() + middle, edges.end());

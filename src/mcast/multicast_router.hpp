@@ -65,11 +65,13 @@ class MulticastRouter final : public net::MulticastForwarder {
   MulticastRouter(sim::Simulation& simulation, net::Network& network);
 
   /// Declares the source node of every group of a session. Must be set
-  /// before members join groups of that session.
+  /// before members join groups of that session. Throws std::out_of_range
+  /// for a node the network does not have.
   void set_session_source(net::SessionId session, net::NodeId source);
   [[nodiscard]] net::NodeId session_source(net::SessionId session) const;
 
-  /// Subscribes `member` to `group`; delivery starts at once.
+  /// Subscribes `member` to `group`; delivery starts at once. Throws
+  /// std::out_of_range for a node the network does not have.
   void join(net::NodeId member, net::GroupAddr group);
 
   /// Unsubscribes `member`. Local delivery stops now; upstream forwarding
@@ -132,7 +134,9 @@ class MulticastRouter final : public net::MulticastForwarder {
     sim::Time forward_until{sim::Time::zero()};  ///< tree carries traffic until then
   };
   struct GroupState {
-    std::unordered_map<net::NodeId, MemberState> members;
+    /// NodeId-indexed, sized to the network on the first join; a node that
+    /// never joined keeps the default (no delivery, no forwarding).
+    std::vector<MemberState> members;
     GroupTree tree;
     bool tree_dirty{true};
   };
@@ -153,6 +157,14 @@ class MulticastRouter final : public net::MulticastForwarder {
   std::vector<GroupState*> groups_by_stats_id_;
   std::unordered_map<net::SessionId, net::NodeId> session_sources_;
   std::function<void(net::GroupAddr, const GroupTree&)> audit_hook_;
+
+  /// rebuild_tree's scratch, reused across rebuilds. first_parent_ is
+  /// NodeId-indexed and all kInvalidNode between rebuilds; second_parents_
+  /// holds (child, parent) for a child reached from another parent too;
+  /// hops_ is one member's route from the source.
+  std::vector<net::NodeId> first_parent_;
+  std::vector<std::pair<net::NodeId, net::NodeId>> second_parents_;
+  std::vector<net::NodeId> hops_;
 };
 
 }  // namespace tsim::mcast

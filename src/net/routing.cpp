@@ -149,7 +149,7 @@ std::vector<NodeId> RoutingTable::path(NodeId from, NodeId to) const {
   while (cur != to) {
     // Each hop's successor toward `to` comes from that hop's own row: rows
     // store the first hop of from->dst, not the predecessor tree.
-    cur = row(cur).next_node[to];
+    cur = next_node(cur, to);
     if (cur == kInvalidNode) return {};
     result.push_back(cur);
   }

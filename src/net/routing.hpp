@@ -64,6 +64,13 @@ class RoutingTable {
     return row(from).cost[to];
   }
 
+  /// Successor of `from` on its shortest path to `to`; kInvalidNode when
+  /// `to` is unreachable or is `from`. Following it hop by hop (each hop's
+  /// own row) visits exactly path(from, to), without building the vector.
+  [[nodiscard]] NodeId next_node(NodeId from, NodeId to) const {
+    return row(from).next_node[to];
+  }
+
   /// Ordered node sequence from -> to, inclusive; empty if unreachable.
   [[nodiscard]] std::vector<NodeId> path(NodeId from, NodeId to) const;
 

@@ -61,7 +61,9 @@ struct TopologyDescription {
     std::string b;
     units::BitsPerSec bandwidth{};
     sim::Time latency{};
-    std::optional<std::size_t> queue_packets{};  ///< default: BDP sizing
+    /// Default: max(30, bandwidth * kLinkLatency (200 ms) in packets),
+    /// whatever `latency` is.
+    std::optional<std::size_t> queue_packets{};
     bool red{false};
     int line{0};  ///< 1-based source line, for semantic diagnostics
   };

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Pins the quick e2e and fault fingerprints of bench_runner.
+"""Pins the quick e2e, fault and scale fingerprints of bench_runner.
 
     check_bench_fingerprints.py <bench_runner> <check_perf_baseline.py> <baselines dir>
 
-Runs `bench_runner --quick --e2e` and `bench_runner --fault --quick` into a
-temporary directory and checks each output against its committed baseline
-with threshold inf: fingerprints and determinism are compared exactly, and
-no throughput floor applies (those stay in CI, on the hosts they were set
-for).
+Runs `bench_runner --quick --e2e`, `bench_runner --fault --quick` and
+`bench_runner --scale --quick` into a temporary directory and checks each
+output against its committed baseline with threshold inf: fingerprints and
+determinism are compared exactly, and no throughput floor applies (those stay
+in CI, on the hosts they were set for).
 """
 
 import os
@@ -18,6 +18,7 @@ import tempfile
 RUNS = (
     (["--quick", "--e2e"], "BENCH_e2e.json", "e2e_quick_baseline.json"),
     (["--fault", "--quick"], "BENCH_fault.json", "fault_quick_baseline.json"),
+    (["--scale", "--quick"], "BENCH_scale.json", "scale_quick_baseline.json"),
 )
 
 

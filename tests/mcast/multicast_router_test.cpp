@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "sim/random.hpp"
 #include "sim/simulation.hpp"
 
 namespace tsim::mcast {
@@ -45,6 +49,23 @@ struct McastFixture : ::testing::Test {
 
 TEST_F(McastFixture, JoinWithoutSourceThrows) {
   EXPECT_THROW(router.join(a, net::GroupAddr{9, 1}), std::logic_error);
+}
+
+TEST_F(McastFixture, JoinOfUnknownNodeThrows) {
+  const net::GroupAddr g{0, 1};
+  EXPECT_THROW(router.join(7, g), std::out_of_range);
+  EXPECT_THROW(router.join(net::kInvalidNode, g), std::out_of_range);
+  // Leaving or asking about an unknown node stays harmless.
+  router.join(a, g);
+  router.leave(7, g);
+  EXPECT_FALSE(router.is_member(7, g));
+  EXPECT_EQ(router.members(g), (std::vector<net::NodeId>{a}));
+}
+
+TEST_F(McastFixture, SessionSourceOfUnknownNodeThrows) {
+  EXPECT_THROW(router.set_session_source(1, 7), std::out_of_range);
+  EXPECT_THROW(router.set_session_source(1, net::kInvalidNode), std::out_of_range);
+  EXPECT_EQ(router.session_source(1), net::kInvalidNode);
 }
 
 TEST_F(McastFixture, MembershipReflectsJoinAndLeave) {
@@ -195,6 +216,162 @@ TEST_F(McastFixture, SourceAsMemberDeliversLocally) {
   network.send_multicast(packet(g));
   simulation.run_until(1_s);
   EXPECT_EQ(at_src, 1);
+}
+
+/// A member as the router should track it: delivered locally while joined,
+/// forwarded toward until `forward_until` after a leave.
+struct ModelMember {
+  bool local_active{false};
+  Time forward_until{Time::zero()};
+};
+
+/// The tree build the router used before its hop-by-hop walk, kept as the
+/// reference: the union of routes.path(source, m) over the members carrying
+/// traffic, sorted and deduplicated, then the CSR fan-out via next_hop.
+GroupTree reference_tree(const net::Network& network, net::NodeId source,
+                         const std::map<net::NodeId, ModelMember>& members, Time now) {
+  const net::RoutingTable& routes = network.routes();
+  GroupTree tree;
+  tree.source = source;
+  tree.fan.assign(network.node_count(), {});
+  for (const auto& [member, ms] : members) {
+    if (!ms.local_active && ms.forward_until <= now) continue;
+    if (ms.local_active) tree.fan[member].deliver_locally = 1;
+    if (member == source) continue;
+    const std::vector<net::NodeId> path = routes.path(source, member);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) tree.edges.emplace_back(path[i], path[i + 1]);
+  }
+  std::sort(tree.edges.begin(), tree.edges.end());
+  tree.edges.erase(std::unique(tree.edges.begin(), tree.edges.end()), tree.edges.end());
+  for (const auto& [parent, child] : tree.edges) {
+    GroupTree::FanSlot& slot = tree.fan[parent];
+    if (slot.count == 0) slot.offset = static_cast<std::uint32_t>(tree.fan_links.size());
+    ++slot.count;
+    tree.fan_links.push_back(routes.next_hop(parent, child));
+  }
+  return tree;
+}
+
+/// True when some child of `edges` has more than one parent.
+bool has_second_parent(const std::vector<std::pair<net::NodeId, net::NodeId>>& edges) {
+  std::set<net::NodeId> children;
+  for (const auto& edge : edges) {
+    if (!children.insert(edge.second).second) return true;
+  }
+  return false;
+}
+
+/// Random connected meshes of 6-25 nodes with about 2n equal-latency duplex
+/// links, plus one pendant node hung off the mesh by a single link. Equal
+/// latencies give many equal-cost routes, so routes toward different members
+/// can enter one node from different parents. Through joins, leaves before
+/// and after the leave latency, a re-join, a mesh link going down and up and
+/// the pendant being cut off, every tree must equal the reference exactly.
+TEST(TreeBuildTest, MatchesSortedUnionOfMemberPaths) {
+  const Time kLeaveLatency = 1_s;
+  int meshes_with_second_parent = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    sim::Rng rng{seed};
+    sim::Simulation simulation{seed};
+    net::Network network{simulation};
+    const auto mesh_size = static_cast<net::NodeId>(rng.uniform_int(6, 25));
+    for (net::NodeId i = 0; i < mesh_size; ++i) network.add_node();
+    const auto random_mesh_node = [&] {
+      return static_cast<net::NodeId>(rng.uniform_int(0, mesh_size - 1));
+    };
+    std::set<std::pair<net::NodeId, net::NodeId>> linked;
+    std::vector<std::pair<net::LinkId, net::LinkId>> mesh_links;
+    const auto add_link = [&](net::NodeId x, net::NodeId y) {
+      linked.insert(std::minmax(x, y));
+      return network.add_duplex_link(x, y, tsim::units::BitsPerSec{10e6}, 10_ms);
+    };
+    for (net::NodeId i = 1; i < mesh_size; ++i) {
+      mesh_links.push_back(add_link(i, static_cast<net::NodeId>(rng.uniform_int(0, i - 1))));
+    }
+    while (linked.size() < 2u * mesh_size) {
+      const net::NodeId x = random_mesh_node();
+      const net::NodeId y = random_mesh_node();
+      if (x != y && linked.count(std::minmax(x, y)) == 0) mesh_links.push_back(add_link(x, y));
+    }
+    const net::NodeId pendant = network.add_node();
+    const auto pendant_link = add_link(pendant, random_mesh_node());
+    network.compute_routes();
+
+    MulticastRouter router{simulation, network, {kLeaveLatency}};
+    const net::NodeId source = random_mesh_node();
+    router.set_session_source(0, source);
+    const net::GroupAddr g{0, 1};
+    std::map<net::NodeId, ModelMember> model;
+    bool second_parent = false;
+    const auto check = [&](const char* step) {
+      SCOPED_TRACE(step);
+      const GroupTree expected = reference_tree(network, source, model, simulation.now());
+      const GroupTree* tree = router.tree(g);
+      ASSERT_NE(tree, nullptr);
+      EXPECT_EQ(tree->source, source);
+      EXPECT_EQ(tree->edges, expected.edges);
+      ASSERT_EQ(tree->fan.size(), expected.fan.size());
+      for (std::size_t i = 0; i < expected.fan.size(); ++i) {
+        EXPECT_EQ(tree->fan[i].offset, expected.fan[i].offset) << "node " << i;
+        EXPECT_EQ(tree->fan[i].count, expected.fan[i].count) << "node " << i;
+        EXPECT_EQ(tree->fan[i].deliver_locally, expected.fan[i].deliver_locally) << "node " << i;
+      }
+      EXPECT_EQ(tree->fan_links, expected.fan_links);
+      std::vector<net::NodeId> local;
+      for (const auto& [node, ms] : model) {
+        if (ms.local_active) local.push_back(node);
+      }
+      EXPECT_EQ(router.members(g), local);
+      second_parent |= has_second_parent(tree->edges);
+    };
+    const auto join = [&](net::NodeId node) {
+      router.join(node, g);
+      model[node] = {true, Time::max()};
+    };
+    const auto leave = [&](net::NodeId node) {
+      router.leave(node, g);
+      model[node] = {false, simulation.now() + kLeaveLatency};
+    };
+    const auto set_up = [&](std::pair<net::LinkId, net::LinkId> link, bool up) {
+      network.link(link.first).set_up(up);
+      network.link(link.second).set_up(up);
+      network.on_topology_changed();
+    };
+
+    // About half the nodes join, the source and the pendant always.
+    for (net::NodeId node = 0; node < network.node_count(); ++node) {
+      if (node == source || node == pendant || rng.bernoulli(0.5)) join(node);
+    }
+    check("joined");
+    simulation.run_until(1_s);
+    std::vector<net::NodeId> left;
+    for (const auto& [node, ms] : model) {
+      if (rng.bernoulli(0.4)) left.push_back(node);
+    }
+    for (const net::NodeId node : left) leave(node);
+    check("left, still forwarded");
+    simulation.run_until(Time::seconds(1.5));
+    if (!left.empty()) {
+      join(left[static_cast<std::size_t>(rng.uniform_int(0, std::ssize(left) - 1))]);
+    }
+    check("one re-joined");
+    simulation.run_until(Time::seconds(2.5));
+    check("leave latency expired");
+
+    const auto down =
+        mesh_links[static_cast<std::size_t>(rng.uniform_int(0, std::ssize(mesh_links) - 1))];
+    set_up(down, false);
+    check("mesh link down");
+    set_up(pendant_link, false);
+    check("pendant cut off");
+    set_up(down, true);
+    set_up(pendant_link, true);
+    check("links back up");
+    meshes_with_second_parent += second_parent ? 1 : 0;
+  }
+  // The sweep must exercise the side list for a child's second parent.
+  EXPECT_GT(meshes_with_second_parent, 0);
 }
 
 }  // namespace
