@@ -79,12 +79,12 @@ void FaultInjector::install_suggestion_filter() {
 void FaultInjector::schedule_event(const FaultEvent& event) {
   switch (event.kind) {
     case FaultKind::kLinkDown: {
-      const ResolvedLinks links = resolve_link(event.a, event.b);
+      ResolvedLinks links = resolve_link(event.a, event.b);
       simulation_.at(event.at, [this, links]() { set_links_up(links, false); });
       break;
     }
     case FaultKind::kLinkUp: {
-      const ResolvedLinks links = resolve_link(event.a, event.b);
+      ResolvedLinks links = resolve_link(event.a, event.b);
       simulation_.at(event.at, [this, links]() { set_links_up(links, true); });
       break;
     }
@@ -92,7 +92,7 @@ void FaultInjector::schedule_event(const FaultEvent& event) {
       // Precompute the whole transition timetable: each cycle is
       // (1-duty)*period down, then duty*period up; the link is left UP at
       // the window end regardless of where the last cycle was cut off.
-      const ResolvedLinks links = resolve_link(event.a, event.b);
+      ResolvedLinks links = resolve_link(event.a, event.b);
       const sim::Time down_span =
           sim::Time::seconds(event.period.as_seconds() * (1.0 - event.duty));
       for (sim::Time cycle = event.at; cycle < event.until; cycle = cycle + event.period) {
@@ -106,7 +106,7 @@ void FaultInjector::schedule_event(const FaultEvent& event) {
       break;
     }
     case FaultKind::kLinkLossy: {
-      const ResolvedLinks links = resolve_link(event.a, event.b);
+      ResolvedLinks links = resolve_link(event.a, event.b);
       const double p = event.probability;
       simulation_.at(event.at, [this, links, p]() {
         for (const net::LinkId id : links.links) network_.link(id).set_fault_loss(p);

@@ -1,8 +1,8 @@
 #include "net/link.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "net/network.hpp"
 
@@ -17,12 +17,7 @@ constexpr double kRedQueueWeight = 0.02;  ///< EWMA weight for the average queue
 }  // namespace
 
 Link::Link(sim::Simulation& simulation, Network& network, LinkId id, NodeId from)
-    : simulation_{simulation},
-      network_{network},
-      id_{id},
-      from_{from},
-      red_rng_{simulation.rng_stream("link/" + std::to_string(id))},
-      fault_rng_{simulation.rng_stream("fault-loss/" + std::to_string(id))} {}
+    : simulation_{simulation}, network_{network}, id_{id}, from_{from} {}
 
 LinkHot& Link::hot() const { return network_.link_hot(id_); }
 
@@ -38,6 +33,9 @@ bool Link::red_enabled() const { return (hot().flags & LinkHot::kRed) != 0; }
 
 void Link::enable_red() {
   red_avg_ = 0.0;
+  // A stream depends only on the seed and its label, and nothing draws from
+  // it before RED is on, so a fork on first use draws the same sequence.
+  if (!red_rng_) red_rng_ = simulation_.rng_stream("link/" + std::to_string(id_));
   hot().flags |= LinkHot::kRed;
 }
 
@@ -50,6 +48,7 @@ units::Bytes Link::transmitting_bytes() const { return units::Bytes{hot().transm
 void Link::set_fault_loss(double probability) {
   fault_loss_ = probability;
   if (probability > 0.0) {
+    if (!fault_rng_) fault_rng_ = simulation_.rng_stream("fault-loss/" + std::to_string(id_));
     hot().flags |= LinkHot::kFaultLoss;
   } else {
     hot().flags &= static_cast<std::uint8_t>(~LinkHot::kFaultLoss);
@@ -113,12 +112,18 @@ void Link::set_up(bool up) {
   // The cut loses everything waiting for the transmitter. The packet being
   // transmitted (if any) fails in Network::on_tx_complete; packets already
   // propagating were past the cut and still arrive downstream.
-  while (!queue_.empty()) {
-    count_drop(*queue_.front(), /*fault=*/true);
-    queue_.pop_front();
-  }
+  while (queue_size_ != 0) count_drop(*pop_queue(), /*fault=*/true);
   h.queue_len = 0;
-  queued_bytes_ = units::Bytes::zero();
+}
+
+void Link::grow_queue() {
+  const std::size_t capacity = queue_.size();
+  // HOTPATH_ALLOW(container-growth: the ring doubles only when full, so a link allocates when its first packet has to wait and then only at a new peak queue, bounded by its queue_limit; pops free nothing)
+  queue_.resize(capacity == 0 ? kMinQueueCapacity : 2 * capacity);
+  // The full ring ran [head, capacity) then [0, head); moving the wrapped
+  // part to [capacity, capacity + head) keeps the FIFO contiguous from head.
+  std::move(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_),
+            queue_.begin() + static_cast<std::ptrdiff_t>(capacity));
 }
 
 void Link::enqueue_slow(const PacketRef& packet) {
@@ -127,7 +132,7 @@ void Link::enqueue_slow(const PacketRef& packet) {
     count_drop(*packet, /*fault=*/true);
     return;
   }
-  if (fault_loss_ > 0.0 && fault_rng_.bernoulli(fault_loss_)) {
+  if (fault_loss_ > 0.0 && fault_rng_->bernoulli(fault_loss_)) {
     count_drop(*packet, /*fault=*/true);
     return;
   }
@@ -138,7 +143,7 @@ void Link::enqueue_slow(const PacketRef& packet) {
     // value and spuriously early-drop the first packets of a new burst.
     // Decay by the number of packets that *could* have been transmitted
     // during the idle period, as if each had sampled an empty queue.
-    if ((h.flags & LinkHot::kTransmitting) == 0 && queue_.empty() && red_avg_ > 0.0) {
+    if ((h.flags & LinkHot::kTransmitting) == 0 && queue_size_ == 0 && red_avg_ > 0.0) {
       const double slot_s = transmission_time(packet->size_bytes).as_seconds();
       const double idle_s = (simulation_.now() - idle_since_).as_seconds();
       if (slot_s > 0.0 && idle_s > 0.0) {
@@ -147,7 +152,7 @@ void Link::enqueue_slow(const PacketRef& packet) {
     }
     // EWMA of the instantaneous queue length, updated per arrival.
     red_avg_ = (1.0 - kRedQueueWeight) * red_avg_ +
-               kRedQueueWeight * static_cast<double>(queue_.size());
+               kRedQueueWeight * static_cast<double>(queue_size_);
     const double min_th = kRedMinThresholdFrac * static_cast<double>(h.queue_limit);
     const double max_th = kRedMaxThresholdFrac * static_cast<double>(h.queue_limit);
     bool early_drop = false;
@@ -155,7 +160,7 @@ void Link::enqueue_slow(const PacketRef& packet) {
       early_drop = true;
     } else if (red_avg_ > min_th) {
       const double p = kRedMaxDropProbability * (red_avg_ - min_th) / (max_th - min_th);
-      early_drop = red_rng_.bernoulli(p);
+      early_drop = red_rng_->bernoulli(p);
     }
     if (early_drop) {
       count_drop(*packet, /*fault=*/false);
@@ -167,7 +172,7 @@ void Link::enqueue_slow(const PacketRef& packet) {
     network_.start_transmission(id_, packet);
     return;
   }
-  if (queue_.size() >= h.queue_limit) {
+  if (queue_size_ >= h.queue_limit) {
     count_drop(*packet, /*fault=*/false);
     return;
   }

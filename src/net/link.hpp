@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <string>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/hotpath.hpp"
 #include "core/units.hpp"
@@ -19,7 +21,7 @@ class Network;
 /// deliver) reads or writes per packet, packed into one cache line. The
 /// Network owns one dense LinkId-indexed array of these, so a 10k-receiver
 /// fan-out sweeps a contiguous 640 KB table instead of chasing 10k
-/// heap-scattered Link objects. Cold state (the queue deque, RED/fault
+/// heap-scattered Link objects. Cold state (the queue ring, RED/fault
 /// machinery, RNGs) stays on the Link and is only touched on the slow paths
 /// gated by `flags`.
 struct alignas(64) LinkHot {
@@ -38,7 +40,7 @@ struct alignas(64) LinkHot {
   std::uint64_t dropped_packets{0};
   std::uint64_t dropped_bytes{0};
   std::uint32_t transmitting_bytes{0};  ///< size of the packet on the transmitter
-  std::uint32_t queue_len{0};           ///< mirrors Link::queue_.size()
+  std::uint32_t queue_len{0};           ///< mirrors Link::queue_length()
   std::uint32_t queue_limit{0};
   std::uint8_t flags{kUp};
 };
@@ -140,6 +142,7 @@ class Link {
 
   /// Switches the queue from drop-tail to Random Early Detection
   /// (Floyd/Jacobson; parameters in link.cpp). Call before traffic flows.
+  /// Forks the link's RED stream, which nothing else draws from.
   void enable_red();
   [[nodiscard]] bool red_enabled() const;
   [[nodiscard]] double red_average_queue() const { return red_avg_; }
@@ -159,7 +162,8 @@ class Link {
 
   /// Bernoulli drop probability applied to every enqueue (0 disables). Draws
   /// come from the link's own seeded fault stream, so enabling loss on one
-  /// link never perturbs any other component's randomness.
+  /// link never perturbs any other component's randomness. The stream is
+  /// forked from the seed the first time p > 0 and kept from then on.
   void set_fault_loss(double probability);
   [[nodiscard]] double fault_loss() const { return fault_loss_; }
 
@@ -169,7 +173,7 @@ class Link {
   [[nodiscard]] units::BitsPerSec bandwidth() const;
   [[nodiscard]] sim::Time latency() const;
   [[nodiscard]] std::size_t queue_limit() const;
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_length() const { return queue_size_; }
   [[nodiscard]] bool transmitting() const;
   /// Counters as a coherent snapshot, read from the hot table on call.
   [[nodiscard]] LinkStats stats() const;
@@ -208,13 +212,15 @@ class Link {
   /// Queue storage ops for the Network datapath; the caller maintains the
   /// LinkHot queue_len mirror.
   void push_queue(const PacketRef& packet) {
-    // HOTPATH_ALLOW(container-growth: deque append bounded by the link's queue_limit; block storage is recycled across pops after warmup)
-    queue_.push_back(packet);
+    if (queue_size_ == queue_.size()) grow_queue();
+    queue_[(queue_head_ + queue_size_) & (queue_.size() - 1)] = packet;
+    ++queue_size_;
     queued_bytes_ += units::Bytes{packet->size_bytes};
   }
   [[nodiscard]] PacketRef pop_queue() {
-    PacketRef next = std::move(queue_.front());
-    queue_.pop_front();
+    PacketRef next{std::move(queue_[queue_head_])};
+    queue_head_ = (queue_head_ + 1) & (queue_.size() - 1);
+    --queue_size_;
     queued_bytes_ -= units::Bytes{next->size_bytes};
     return next;
   }
@@ -234,19 +240,29 @@ class Link {
   /// Dense stats index for a multicast packet: the stamped id, or an
   /// on-the-fly intern for packets that bypassed Network::send_multicast.
   [[nodiscard]] std::uint32_t group_stats_index(const Packet& packet) const;
+  /// Doubles the full ring (kMinQueueCapacity slots when it has none yet).
+  void grow_queue();
+
+  static constexpr std::size_t kMinQueueCapacity = 8;
 
   sim::Simulation& simulation_;
   Network& network_;
   LinkId id_;
   NodeId from_;
-  std::deque<PacketRef> queue_;
+  /// Packets waiting for the transmitter: a FIFO ring whose capacity,
+  /// queue_.size(), is 0 until a packet first has to wait and a power of two
+  /// from then on. FIFO position i is queue_[(queue_head_ + i) & (size - 1)];
+  /// free slots hold null refs.
+  std::vector<PacketRef> queue_;
+  std::size_t queue_head_{0};
+  std::size_t queue_size_{0};
   units::Bytes queued_bytes_{};
   std::uint64_t fault_dropped_packets_{0};  ///< slow-path only; see LinkStats
   double red_avg_{0.0};
   sim::Time idle_since_{sim::Time::zero()};  ///< when the transmitter last went idle
-  sim::Rng red_rng_;
+  std::optional<sim::Rng> red_rng_;  ///< forked by enable_red()
   double fault_loss_{0.0};
-  sim::Rng fault_rng_;
+  std::optional<sim::Rng> fault_rng_;  ///< forked when fault loss is first set
 };
 
 }  // namespace tsim::net

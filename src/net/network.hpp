@@ -146,7 +146,10 @@ class Network {
     hot.transmitting_bytes = packet->size_bytes;
     const sim::Time tx =
         transmission_time_for(packet->size_bytes, link_params_[id].bandwidth);
-    simulation_.after(tx, [this, id, packet]() { on_tx_complete(id, packet); });
+    // `packet = packet`, not `packet`: a plain copy capture of a const
+    // reference is a const member, which makes the closure copy-only, and
+    // SmallCallback stores only nothrow-movable closures.
+    simulation_.after(tx, [this, id, packet = packet]() { on_tx_complete(id, packet); });
   }
 
   [[nodiscard]] LinkHot& link_hot(LinkId id) { return link_hot_[id]; }

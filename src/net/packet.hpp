@@ -48,11 +48,6 @@ enum class PacketKind : std::uint8_t {
   kSummary,         ///< inter-domain controller summary (unicast)
 };
 
-/// Number of PacketKind values; keep in sync with the enum above. Lets
-/// per-kind state live in flat arrays indexed by the kind instead of hashes.
-inline constexpr std::size_t kPacketKindCount =
-    static_cast<std::size_t>(PacketKind::kSummary) + 1;
-
 /// Base class for control-plane payloads (defined by higher layers). Packets
 /// share payloads by pointer so multicast replication stays O(1) per copy.
 struct ControlPayload {

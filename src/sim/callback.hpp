@@ -11,30 +11,36 @@ namespace tsim::sim {
 /// std::function<void()>. Every simulated packet schedules two events whose
 /// closures capture the packet — since the PacketRef flyweight that is an
 /// 8-byte handle, so the hot-path captures are [this, PacketRef] = 16 bytes.
-/// Callables up to kInlineBytes live inside the event entry itself; larger
-/// ones fall back to the heap (rare: one-shot setup/fault lambdas and
-/// oversized captures in tests/benches).
+/// Every callable lives inside the event entry itself: there is no heap
+/// fallback. A closure larger than kInlineBytes, over-aligned, or not
+/// nothrow-movable does not convert to a SmallCallback, so it fails to
+/// compile at the schedule call instead of costing a malloc per event. The
+/// usual culprit is a copy capture of a const object (a `const PacketRef&`
+/// parameter, a `const` local): its member is const, so moving the closure
+/// copies it. Capture such a value with an initializer (`[packet = packet]`).
 class SmallCallback {
  public:
   /// Sized for [this, PacketRef, two words of context]; keeps the
   /// scheduler's Slot (callback + cancellation state) to one cache line.
   static constexpr std::size_t kInlineBytes = 40;
 
+  /// Whether a callable of type Fn can be stored: it fits the buffer and
+  /// moves without throwing (the scheduler relocates callbacks in noexcept
+  /// moves).
+  template <typename Fn>
+  static constexpr bool kStorable = std::is_invocable_r_v<void, Fn&> &&
+                                    sizeof(Fn) <= kInlineBytes &&
+                                    alignof(Fn) <= alignof(std::max_align_t) &&
+                                    std::is_nothrow_move_constructible_v<Fn>;
+
   SmallCallback() noexcept = default;
 
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, SmallCallback> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, SmallCallback> && kStorable<std::decay_t<F>>)
   SmallCallback(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      ::new (static_cast<void*>(buffer_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &heap_ops<Fn>;
-    }
+    ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
+    ops_ = &inline_ops<Fn>;
   }
 
   SmallCallback(SmallCallback&& other) noexcept : ops_{other.ops_} {
@@ -82,14 +88,6 @@ class SmallCallback {
         from->~Fn();
       },
       [](void* storage) noexcept { std::launder(static_cast<Fn*>(storage))->~Fn(); }};
-
-  template <typename Fn>
-  static constexpr Ops heap_ops{
-      [](void* storage) { (**std::launder(static_cast<Fn**>(storage)))(); },
-      [](void* src, void* dst) noexcept {
-        ::new (dst) Fn*(*std::launder(static_cast<Fn**>(src)));
-      },
-      [](void* storage) noexcept { delete *std::launder(static_cast<Fn**>(storage)); }};
 
   void reset() noexcept {
     if (ops_ != nullptr) {

@@ -84,13 +84,6 @@ bool Scheduler::resolve_entry(const Entry& entry, Callback& out, Time& when) {
 
 void Scheduler::push_entry(Entry entry) {
   ++entries_;
-  if (impl_ == QueueImpl::kHeap) {
-    // HOTPATH_ALLOW(container-growth: reference heap keeps capacity across pops; appends reallocate only at a new high-water mark)
-    overflow_.push_back(entry);
-    std::push_heap(overflow_.begin(), overflow_.end(), kMinFirst);
-    return;
-  }
-
   if (entries_ == 1) {
     // Empty queue: re-anchor the window at this event so small workloads and
     // fresh simulations never pay a migration.
@@ -261,15 +254,6 @@ bool Scheduler::pop_min_upto(std::int64_t until_ns, Entry& out) {
   // peek-then-pop pair would scan the occupancy bitmap and dirty-check the
   // front bucket twice per executed event.
   if (entries_ == 0) return false;
-  if (impl_ == QueueImpl::kHeap) {
-    if (overflow_.front().when_ns > until_ns) return false;
-    std::pop_heap(overflow_.begin(), overflow_.end(), kMinFirst);
-    out = overflow_.back();
-    overflow_.pop_back();
-    --entries_;
-    note_popped(out.when_ns);
-    return true;
-  }
   for (;;) {
     cursor_ = next_occupied(cursor_);
     if (cursor_ < bucket_count_) {
@@ -293,7 +277,6 @@ bool Scheduler::pop_min_upto(std::int64_t until_ns, Entry& out) {
 
 std::int64_t Scheduler::peek_min_when() const {
   if (entries_ == 0) return kNever;
-  if (impl_ == QueueImpl::kHeap) return overflow_.front().when_ns;
   // Memoize the scan: committing cursor advancement is purely structural
   // (buckets below the cursor are verified empty), so peek stays logically
   // const while making the subsequent pop_min O(1).

@@ -18,15 +18,6 @@ struct EventId {
   [[nodiscard]] friend bool operator==(EventId, EventId) = default;
 };
 
-/// Which event-queue structure backs the scheduler. Both execute events in
-/// the identical total order (timestamp, then schedule sequence), so runs are
-/// bit-for-bit reproducible across implementations — the equivalence test in
-/// tests/sim pins this.
-enum class QueueImpl {
-  kCalendar,  ///< two-level calendar queue (default; O(1) amortized)
-  kHeap,      ///< binary heap — reference implementation, kept for tests
-};
-
 /// Discrete-event scheduler: a time-ordered queue of callbacks with
 /// deterministic FIFO tie-breaking (events scheduled earlier at the same
 /// timestamp fire first). Single-threaded by design — determinism is a core
@@ -41,19 +32,19 @@ enum class QueueImpl {
 /// into fresh buckets when the window advances. Bucket count and width adapt
 /// to the pending population at each migration, keeping both dense packet
 /// bursts and sparse second-scale timers O(1) amortized per event, where the
-/// seed's binary heap paid O(log n) sifts on every operation.
+/// seed's binary heap paid O(log n) sifts on every operation. Events run in
+/// the total order (timestamp, then schedule sequence); the equivalence test
+/// in tests/sim checks it against a reference binary heap.
 ///
 /// Allocation behaviour: each pending event lives in a free-listed slot pool
 /// whose size is bounded by the maximum number of *concurrently pending*
 /// events, not by the total number of events ever scheduled or cancelled.
-/// Callbacks up to SmallCallback::kInlineBytes are stored inline in the slot
-/// (no per-event heap allocation), and the queue entries are 24-byte PODs —
-/// bucket and heap shuffles never move callback storage.
+/// Every callback is stored inline in its slot (SmallCallback refuses, at
+/// compile time, a closure that does not fit), and the queue entries are
+/// 24-byte PODs — bucket and heap shuffles never move callback storage.
 class Scheduler {
  public:
   using Callback = SmallCallback;
-
-  explicit Scheduler(QueueImpl impl = QueueImpl::kCalendar) : impl_{impl} {}
 
   /// Schedules `cb` at absolute time `when` (must be >= now()).
   EventId schedule_at(Time when, Callback cb);
@@ -74,7 +65,6 @@ class Scheduler {
   bool step();
 
   [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] QueueImpl queue_impl() const { return impl_; }
   [[nodiscard]] std::size_t pending_events() const { return entries_ - cancelled_pending_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
@@ -109,7 +99,7 @@ class Scheduler {
     std::uint64_t id;  ///< encoded EventId (slot + generation)
 
     /// The execution total order: timestamp, then schedule sequence (FIFO at
-    /// equal timestamps). Both queue implementations order by exactly this.
+    /// equal timestamps).
     [[nodiscard]] friend bool operator<(const Entry& a, const Entry& b) {
       if (a.when_ns != b.when_ns) return a.when_ns < b.when_ns;
       return a.seq < b.seq;
@@ -128,7 +118,7 @@ class Scheduler {
     return (static_cast<std::uint64_t>(generation) << 32) | (slot + 1);
   }
 
-  /// --- queue structure (behind impl_) --------------------------------------
+  /// --- queue structure -----------------------------------------------------
 
   void push_entry(Entry entry);
   /// Removes and returns the (when, seq)-minimum entry. Pre: entries_ > 0.
@@ -176,7 +166,6 @@ class Scheduler {
   bool take_front(Callback& out, Time& when);
 
   Time now_{Time::zero()};
-  QueueImpl impl_;
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
   std::size_t entries_{0};  ///< live + cancelled entries across both levels
@@ -211,9 +200,8 @@ class Scheduler {
   /// its occupancy scan here without changing observable state.
   mutable std::size_t cursor_{0};
 
-  /// Calendar level 2 / heap impl: a binary min-heap on (when, seq). The
-  /// calendar parks far-future events here; the reference impl keeps
-  /// everything here.
+  /// Calendar level 2: a binary min-heap on (when, seq) where far-future
+  /// events wait for their window.
   std::vector<Entry> overflow_;
 
   /// Execution-density estimate migrate_overflow() sizes bucket width from:
@@ -228,8 +216,7 @@ class Scheduler {
   /// every completion then ordered-inserted its arrival into the bucket
   /// being drained, degenerating the calendar into one giant sorted array
   /// (terabytes of memmove over a bench run). Derived purely from popped
-  /// timestamps, so it is deterministic and identical across queue
-  /// implementations.
+  /// timestamps, so it is deterministic.
   std::int64_t window_gap_ewma_ns_{-1};  ///< -1 until the first full window
   std::int64_t last_pop_when_ns_{0};
   std::int64_t window_first_pop_ns_{0};  ///< first pop of the current window

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <array>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -18,14 +18,20 @@ class PacketDemux {
  public:
   using Handler = std::function<void(const net::PacketRef&)>;
 
+  PacketDemux() = default;
+  // The node's sink holds this demux's address.
+  PacketDemux(const PacketDemux&) = delete;
+  PacketDemux& operator=(const PacketDemux&) = delete;
+
   void add_handler(net::PacketKind kind, Handler handler);
   void dispatch(const net::PacketRef& packet) const;
 
  private:
-  // PacketKind is a dense 7-value enum, so a flat per-kind array beats a hash
-  // map on the per-packet dispatch path: one indexed load, no hashing, and
-  // kinds with no handlers cost a single empty-vector check.
-  std::array<std::vector<Handler>, net::kPacketKindCount> handlers_{};
+  // One list in registration order: a node carries a handful of handlers
+  // (a receiver's data and suggestion, a controller's reports), so one
+  // allocation and a short scan serve them all. Handlers of one kind run in
+  // the order they were added.
+  std::vector<std::pair<net::PacketKind, Handler>> handlers_;
 };
 
 /// Owns one PacketDemux per node and installs it as the node's local sink on
@@ -42,9 +48,12 @@ class DemuxRegistry {
 
  private:
   net::Network& network_;
-  // Dense NodeId-indexed (node ids are small and contiguous); the registry
-  // lookup sits on every local delivery, so an indexed load beats hashing.
-  std::vector<std::unique_ptr<PacketDemux>> demuxes_;
+  // The demuxes by value, in a deque because its elements never move: each
+  // node's sink holds its demux's address.
+  std::deque<PacketDemux> demuxes_;
+  // Dense NodeId-indexed (node ids are small and contiguous); null until the
+  // node's demux is first requested.
+  std::vector<PacketDemux*> by_node_;
 };
 
 }  // namespace tsim::transport

@@ -107,6 +107,29 @@ TEST_F(InjectorFixture, LossyWindowThinsTraffic) {
   EXPECT_EQ(delivered - at_window_end, 100);
 }
 
+TEST_F(InjectorFixture, LossyWindowDropsArePinned) {
+  // Two lossy windows on one link: the second continues the link's fault
+  // stream where the first left off. The counts were recorded when every
+  // link forked its fault stream at construction; forking it on first use
+  // must draw the same sequence.
+  int delivered = 0;
+  network.set_local_sink(b, [&](const net::PacketRef&) { ++delivered; });
+
+  FaultPlan plan;
+  plan.link_lossy("a", "b", 0.3, 1_s, 4_s);
+  plan.link_lossy("a", "b", 0.6, 6_s, 8_s);
+  FaultInjector injector{simulation, network, plan, {}};
+  injector.start();
+
+  send_stream(Time::zero(), 10_s, 10_ms);  // 1000 packets, 500 in the windows
+  simulation.run_until(11_s);
+
+  const net::LinkStats stats = network.link(0).stats();
+  EXPECT_EQ(stats.fault_dropped_packets, 205u);
+  EXPECT_EQ(stats.dropped_packets, 205u);
+  EXPECT_EQ(delivered, 795);
+}
+
 TEST_F(InjectorFixture, FlapFollowsGoldenTransitionTimeline) {
   // flap [10, 25) s, period 10 s, duty 0.5: down@10, up@15, down@20, and the
   // final restore at the window end 25 (the up@25 inside the last cycle is

@@ -153,7 +153,7 @@ TEST_F(EndpointFixture, SuggestionsReachCallback) {
   p.src = src;
   p.dst = rcv;
   p.control = payload;
-  simulation.at(1_s, [&, p]() { network.send_unicast(p); });
+  simulation.at(1_s, [&]() { network.send_unicast(p); });
   simulation.run_until(2_s);
   EXPECT_EQ(suggested, 4);
 }
@@ -174,7 +174,7 @@ TEST_F(EndpointFixture, SuggestionForOtherReceiverIgnored) {
   p.src = src;
   p.dst = rcv;
   p.control = payload;
-  simulation.at(1_s, [&, p]() { network.send_unicast(p); });
+  simulation.at(1_s, [&]() { network.send_unicast(p); });
   simulation.run_until(2_s);
   EXPECT_EQ(calls, 0);
 }
