@@ -49,21 +49,16 @@ std::uint64_t window_key(std::size_t domain_index, net::SessionId session) {
 }  // namespace
 
 DomainManager::DomainManager(sim::Simulation& simulation, net::Network& network,
-                             transport::DemuxRegistry& demuxes, Config config,
-                             const SchemeFactory& factory)
-    : simulation_{simulation}, network_{network}, config_{std::move(config)} {
-  entries_.reserve(config_.domains.size());
-  for (std::size_t i = 0; i < config_.domains.size(); ++i) {
+                             transport::DemuxRegistry& demuxes,
+                             std::vector<Domain> domains, const SchemeFactory& factory)
+    : simulation_{simulation}, network_{network} {
+  entries_.reserve(domains.size());
+  for (Domain& domain : domains) {
     Entry entry;
-    entry.domain = config_.domains[i];
+    entry.domain = std::move(domain);
     entries_.push_back(std::move(entry));
   }
   validate_partition();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    for (const net::NodeId node : entries_[i].domain.nodes) {
-      domain_of_node_.emplace(node, static_cast<int>(i));
-    }
-  }
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     Entry& entry = entries_[i];
     entry.scheme = factory(i, entry.domain);
@@ -94,9 +89,8 @@ DomainManager::DomainManager(sim::Simulation& simulation, net::Network& network,
   }
 }
 
-void DomainManager::validate_partition() const {
+void DomainManager::validate_partition() {
   if (entries_.empty()) throw std::invalid_argument("DomainManager needs at least one domain");
-  std::unordered_map<net::NodeId, std::size_t> owner;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Domain& d = entries_[i].domain;
     if (d.controller_node == net::kInvalidNode) {
@@ -107,10 +101,11 @@ void DomainManager::validate_partition() const {
                                   "' does not own its own controller node");
     }
     for (const net::NodeId node : d.nodes) {
-      const auto [it, inserted] = owner.emplace(node, i);
+      const auto [it, inserted] = domain_of_node_.emplace(node, static_cast<int>(i));
       if (!inserted) {
         throw std::invalid_argument("node " + std::to_string(node) + " is owned by domains '" +
-                                    entries_[it->second].domain.name + "' and '" + d.name + "'");
+                                    entries_[static_cast<std::size_t>(it->second)].domain.name +
+                                    "' and '" + d.name + "'");
       }
     }
     if (d.parent >= 0) {
@@ -174,7 +169,7 @@ void DomainManager::start() {
           [this, i](const core::Prescription& p) { send_cap(i, p); });
     }
     if (entry.domain.parent >= 0) {
-      simulation_.at(config_.summary_start, [this, i]() { send_summaries(i); });
+      simulation_.at(kSummaryStart, [this, i]() { send_summaries(i); });
     }
   }
 }
@@ -230,7 +225,7 @@ void DomainManager::send_summaries(std::size_t index) {
       ++summaries_sent_;
     }
   }
-  simulation_.after(config_.summary_period, [this, index]() { send_summaries(index); });
+  simulation_.after(kSummaryPeriod, [this, index]() { send_summaries(index); });
 }
 
 void DomainManager::handle_summary(std::size_t index, const net::Packet& packet) {

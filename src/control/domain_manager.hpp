@@ -84,25 +84,24 @@ class TopoSenseDomain final : public AdaptationController {
 /// (receiver-driven and null schemes run their domains fully independently).
 class DomainManager final : public AdaptationController {
  public:
-  struct Config {
-    std::vector<Domain> domains;  ///< at least one; parents must form a forest
-    /// Child -> parent summary cadence and first exchange. The cap direction
-    /// is event-driven (one cap per parent interval that prescribed for the
-    /// border), so it needs no timer of its own.
-    sim::Time summary_period{sim::Time::seconds(5)};
-    sim::Time summary_start{sim::Time::seconds(5)};
-  };
+  /// Child -> parent summary cadence and first exchange. The cap direction
+  /// is event-driven (one cap per parent interval that prescribed for the
+  /// border), so it needs no timer of its own.
+  static constexpr sim::Time kSummaryPeriod = sim::Time::seconds(5);
+  static constexpr sim::Time kSummaryStart = sim::Time::seconds(5);
 
   /// Builds the scheme for one domain. Called once per domain, in domain
   /// order, during DomainManager construction.
   using SchemeFactory =
       std::function<std::unique_ptr<AdaptationController>(std::size_t index, const Domain&)>;
 
+  /// `domains` needs at least one entry, and its parents must form a forest.
   /// Throws std::invalid_argument when the domain list is empty, a node is
-  /// owned by two domains, a controller node is outside its own domain, or
-  /// the parent links contain a cycle.
+  /// owned by two domains, a controller node is outside its own domain, a
+  /// parent index is invalid, or the parent links contain a cycle.
   DomainManager(sim::Simulation& simulation, net::Network& network,
-                transport::DemuxRegistry& demuxes, Config config, const SchemeFactory& factory);
+                transport::DemuxRegistry& demuxes, std::vector<Domain> domains,
+                const SchemeFactory& factory);
 
   /// Routes the endpoint to the scheme owning its node. Throws
   /// std::invalid_argument for nodes no domain owns.
@@ -159,7 +158,8 @@ class DomainManager final : public AdaptationController {
     std::uint32_t summary_seq{0};
   };
 
-  void validate_partition() const;
+  /// Checks the partition and fills domain_of_node_ on the way.
+  void validate_partition();
   void send_summaries(std::size_t index);
   void handle_summary(std::size_t index, const net::Packet& packet);
   void send_cap(std::size_t parent_index, const core::Prescription& prescription);
@@ -167,7 +167,6 @@ class DomainManager final : public AdaptationController {
 
   sim::Simulation& simulation_;
   net::Network& network_;
-  Config config_;
   std::vector<Entry> entries_;
   std::unordered_map<net::NodeId, int> domain_of_node_;
   std::unordered_map<net::NodeId, std::size_t> child_of_border_;

@@ -1,6 +1,6 @@
 // Hot-path purity annotations, consumed by tools/hotpath/toposense_hotpath.
 //
-// The event datapath (calendar-queue pop, LinkHot enqueue/tx-complete, CSR
+// The event datapath (event-queue pop, LinkHot enqueue/tx-complete, CSR
 // fan-out credit, fluid relaxation passes, shard worker inner loop) must stay
 // allocation-, lock-, syscall-, and throw-free: benchmarks observed that
 // property, these annotations make it a statically checked contract.

@@ -60,7 +60,7 @@ bool OptimalAllocator::feasible(const std::vector<SessionInput>& sessions,
                                 const std::vector<int>& levels) const {
   // Order-free conjunction: the result is "every link fits", independent of
   // which infeasible link is met first.
-  for (const auto& [link, capacity] : capacities_) {  // NOLINT-determinism(order-free)
+  for (const auto& [link, capacity] : capacities_) {  // NOLINT(determinism) order-free
     if (link_usage(sessions, levels, link) > capacity) return false;
   }
   return true;

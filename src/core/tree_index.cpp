@@ -29,7 +29,7 @@ TreeIndex::TreeIndex(const SessionInput& input) : session_{input.session} {
     kids[n.parent].push_back(i);
   }
   // Each value vector is sorted independently; map iteration order is moot.
-  for (auto& [id, v] : kids) {  // NOLINT-determinism(per-key sort, order-free)
+  for (auto& [id, v] : kids) {  // NOLINT(determinism) per-key sort, order-free
     std::sort(v.begin(), v.end(), [&](std::size_t a, std::size_t b) {
       return input.nodes[a].node < input.nodes[b].node;
     });

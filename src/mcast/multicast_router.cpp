@@ -194,7 +194,7 @@ std::vector<net::GroupAddr> MulticastRouter::active_groups() const {
   std::vector<net::GroupAddr> result;
   result.reserve(groups_.size());
   // Sorted afterwards, so the unordered iteration order never leaks out.
-  for (const auto& [group, state] : groups_) {  // NOLINT-determinism(sorted below)
+  for (const auto& [group, state] : groups_) {  // NOLINT(determinism) sorted below
     result.push_back(group);
   }
   std::sort(result.begin(), result.end());
@@ -231,7 +231,7 @@ std::vector<std::pair<net::NodeId, net::NodeId>> MulticastRouter::session_tree_e
 
 void MulticastRouter::on_topology_change() {
   // Flag-setting only; every group gets the same write, order is irrelevant.
-  for (auto& [group, state] : groups_) state.tree_dirty = true;  // NOLINT-determinism(order-free)
+  for (auto& [group, state] : groups_) state.tree_dirty = true;  // NOLINT(determinism) order-free
 }
 
 void MulticastRouter::route(net::NodeId node, const net::Packet& packet,

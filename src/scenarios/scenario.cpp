@@ -192,7 +192,8 @@ std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
           }
           dcfg.domain_root = domain.controller_node;
         }
-        discovery = std::make_unique<topo::DiscoveryService>(*simulation_, *mcast_, dcfg);
+        discovery =
+            std::make_unique<topo::DiscoveryService>(*simulation_, *mcast_, std::move(dcfg));
       } else {
         topo::MtraceDiscovery::Config dcfg;
         dcfg.tool_node = domain.controller_node;
@@ -273,12 +274,8 @@ void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& re
     });
   }
 
-  control::DomainManager::Config mcfg;
-  mcfg.domains = domains;
-  mcfg.summary_period = config_.domains.summary_period;
-  mcfg.summary_start = config_.domains.summary_start;
   domain_manager_ = std::make_unique<control::DomainManager>(
-      *simulation_, *network_, *demuxes_, std::move(mcfg),
+      *simulation_, *network_, *demuxes_, domains,
       [this, &domains](std::size_t index, const control::Domain& domain) {
         return make_scheme(index, domain, domains);
       });

@@ -59,7 +59,7 @@ enum class ControllerKind {
 inline constexpr sim::Time kLinkLatency = sim::Time::milliseconds(200);
 
 /// Configuration shared by every experiment (paper §IV defaults), grouped
-/// into sub-structs by subsystem (traffic, queues, control, domains).
+/// into sub-structs by subsystem (traffic, queues, control).
 struct ScenarioConfig {
   struct Traffic {
     ::tsim::traffic::TrafficModel model{::tsim::traffic::TrafficModel::kCbr};
@@ -88,19 +88,12 @@ struct ScenarioConfig {
     /// data plane dominates from t=0.
     int initial_subscription{1};
   };
-  struct Domains {
-    /// Child -> parent DomainSummary cadence and first exchange.
-    sim::Time summary_period{sim::Time::seconds(5)};
-    sim::Time summary_start{sim::Time::seconds(5)};
-  };
-
   std::uint64_t seed{1};
   core::Params params{};
   sim::Time duration{sim::Time::seconds(1200)};
   Traffic traffic{};
   Queues queues{};
   Control control{};
-  Domains domains{};
   mcast::MulticastRouter::Config mcast{};
   /// Invariant auditing (off by default; also the --audit flag on
   /// toposense_sim / bench_runner).

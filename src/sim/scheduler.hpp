@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -25,23 +26,28 @@ struct EventId {
 /// from running independent simulations on separate threads, each with its
 /// own Scheduler.
 ///
-/// Queue structure: a two-level calendar queue (R. Brown, CACM '88 — the
-/// structure ns-2 uses). Near-future events live in a ring of time buckets
-/// whose occupancy is tracked in a bitmap, so pop scans empty buckets a word
-/// at a time; far-future events wait in a sorted overflow band and migrate
-/// into fresh buckets when the window advances. Bucket count and width adapt
-/// to the pending population at each migration, keeping both dense packet
-/// bursts and sparse second-scale timers O(1) amortized per event, where the
-/// seed's binary heap paid O(log n) sifts on every operation. Events run in
-/// the total order (timestamp, then schedule sequence); the equivalence test
-/// in tests/sim checks it against a reference binary heap.
+/// Queue structure: a monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+/// JACM '90) keyed on the timestamp. Simulated time never runs backwards, so
+/// every queued entry is at or after `last_ns_`, the timestamp of the last
+/// minimum taken. Bucket b holds the entries whose timestamp first differs
+/// from `last_ns_` at bit b - 1; bucket 0 holds those at exactly `last_ns_`.
+/// Pop drains bucket 0, then re-bases `last_ns_` on the lowest non-empty
+/// bucket's minimum and moves that bucket's entries into lower buckets, so an
+/// entry moves at most 63 times in its life and a same-timestamp burst moves
+/// as one block. Entries at one timestamp always share a bucket and only ever
+/// move by in-order appends, so they leave in schedule order by construction;
+/// the equivalence test in tests/sim checks the order against a reference
+/// binary heap on (timestamp, schedule sequence).
 ///
 /// Allocation behaviour: each pending event lives in a free-listed slot pool
 /// whose size is bounded by the maximum number of *concurrently pending*
 /// events, not by the total number of events ever scheduled or cancelled.
 /// Every callback is stored inline in its slot (SmallCallback refuses, at
 /// compile time, a closure that does not fit), and the queue entries are
-/// 24-byte PODs — bucket and heap shuffles never move callback storage.
+/// 16-byte PODs — bucket moves never touch callback storage. A drained bucket
+/// keeps its capacity, which never exceeds twice the most entries it held at
+/// once, so the 64 buckets together stay within 128 times the peak number of
+/// queued entries however long the run.
 class Scheduler {
  public:
   using Callback = SmallCallback;
@@ -91,19 +97,11 @@ class Scheduler {
   void corrupt_clock_for_test(Time now) { now_ = now; }
 
  private:
-  /// One queue entry: 24-byte POD so bucket inserts and heap sifts move no
-  /// callback storage.
+  /// One queue entry: a 16-byte POD, so bucket moves touch no callback
+  /// storage.
   struct Entry {
     std::int64_t when_ns;
-    std::uint64_t seq;
     std::uint64_t id;  ///< encoded EventId (slot + generation)
-
-    /// The execution total order: timestamp, then schedule sequence (FIFO at
-    /// equal timestamps).
-    [[nodiscard]] friend bool operator<(const Entry& a, const Entry& b) {
-      if (a.when_ns != b.when_ns) return a.when_ns < b.when_ns;
-      return a.seq < b.seq;
-    }
   };
   /// One pending event: its callback plus cancellation state. `generation`
   /// is bumped when the slot is released, so EventIds referring to a previous
@@ -118,114 +116,37 @@ class Scheduler {
     return (static_cast<std::uint64_t>(generation) << 32) | (slot + 1);
   }
 
-  /// --- queue structure -----------------------------------------------------
-
+  /// Queues `entry`. An empty queue first re-anchors `last_ns_` at now():
+  /// anchoring it at the entry instead would bucket a later, earlier-timed
+  /// schedule_at below `last_ns_`.
   void push_entry(Entry entry);
-  /// Removes and returns the (when, seq)-minimum entry. Pre: entries_ > 0.
-  Entry pop_min();
+  /// Appends `entry` to the bucket its timestamp selects relative to `base`,
+  /// keeping that bucket's minimum and its bit in `occupied`.
+  void place(Entry entry, std::int64_t base, std::uint64_t& occupied);
   /// Pops the minimum entry into `out` if its timestamp is <= `until_ns`;
   /// returns false (leaving the queue untouched) when the queue is empty or
-  /// the minimum lies beyond the bound. One positioning pass — the run loop's
-  /// peek-then-pop fused.
+  /// the minimum lies beyond the bound.
   HOT_PATH bool pop_min_upto(std::int64_t until_ns, Entry& out);
   /// Releases `entry`'s slot. True when the entry was live (not cancelled);
   /// the callback and fire time are moved to `out` / `when`.
   bool resolve_entry(const Entry& entry, Callback& out, Time& when);
-  /// Timestamp of the minimum entry without removing it; INT64_MAX when
-  /// empty. Const: scans without committing cursor movement or migrations.
-  [[nodiscard]] std::int64_t peek_min_when() const;
-
-  // calendar internals
-  void insert_into_bucket(Entry entry, std::size_t idx);
-  HOT_PATH_EXEMPT(
-      "window (re)anchoring: allocates the bucket array on first use and otherwise just "
-      "re-bases the window origin; runs when the calendar empties, never per event")
-  void start_window(std::int64_t anchor_ns);
-  HOT_PATH_EXEMPT(
-      "amortized migration: fires once per fully-drained window to re-bucket the overflow "
-      "heap and adapt bucket geometry; its cost is spread over every pop in the window")
-  void migrate_overflow();
-  HOT_PATH_EXEMPT(
-      "cold re-base: only reachable when an external schedule_at lands before the live "
-      "window, which callbacks (whose now() is inside the window) can never do")
-  void rebuild_window();
-  [[nodiscard]] std::size_t bucket_index(std::int64_t when_ns) const {
-    return static_cast<std::size_t>((when_ns - win_start_ns_) >> shift_);
-  }
-  void mark_occupied(std::size_t idx) {
-    occupancy_[idx >> 6] |= (std::uint64_t{1} << (idx & 63));
-  }
-  void mark_empty(std::size_t idx) {
-    occupancy_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-  }
-  /// First non-empty bucket at or after `from`; bucket_count_ when none.
-  [[nodiscard]] std::size_t next_occupied(std::size_t from) const;
-
-  /// Pops the queue minimum, releasing its cancellation slot. Returns true
-  /// when the entry was live (not cancelled); the callback is moved to `out`.
-  bool take_front(Callback& out, Time& when);
 
   Time now_{Time::zero()};
-  std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
-  std::size_t entries_{0};  ///< live + cancelled entries across both levels
+  std::size_t entries_{0};  ///< live + cancelled entries across all buckets
 
-  /// Calendar level 1: buckets_[i] covers
-  /// [win_start + (i << shift), win_start + ((i + 1) << shift)). `head` marks
-  /// consumed slots; [head, entries.size()) is sorted ascending unless
-  /// `dirty`. Inserts into not-yet-draining buckets are O(1) appends (the
-  /// bucket is lazily sorted once when the cursor reaches it), so clustered
-  /// timestamps never degenerate into per-insert memmoves; pop is an O(1)
-  /// index bump.
-  struct Bucket {
-    std::vector<Entry> entries;
-    std::size_t head{0};
-    bool dirty{false};
-  };
-  /// Mutable so the logically-const peek path can commit a pending lazy sort.
-  mutable std::vector<Bucket> buckets_;
-  /// Sorts buckets_[idx]'s live suffix if an out-of-order append left it dirty.
-  /// Inline dirty check so hot pop/peek paths pay one branch when clean; the
-  /// actual sort lives out of line.
-  void ensure_sorted(std::size_t idx) const {
-    Bucket& bucket = buckets_[idx];
-    if (bucket.dirty) sort_bucket(bucket);
-  }
-  static void sort_bucket(Bucket& bucket);
-  std::vector<std::uint64_t> occupancy_;  ///< bit i set <=> buckets_[i] non-empty
-  std::size_t bucket_count_{0};           ///< power of two (0 until first use)
-  int shift_{20};                         ///< bucket width = 1 << shift_ ns (~1 ms)
-  std::int64_t win_start_ns_{0};
-  /// Buckets below the cursor are empty. Mutable: peek_min_when() memoizes
-  /// its occupancy scan here without changing observable state.
-  mutable std::size_t cursor_{0};
-
-  /// Calendar level 2: a binary min-heap on (when, seq) where far-future
-  /// events wait for their window.
-  std::vector<Entry> overflow_;
-
-  /// Execution-density estimate migrate_overflow() sizes bucket width from:
-  /// the mean timestamp gap over everything popped since the last migration
-  /// (window span / pops), EWMA-smoothed across windows. A *mean over the
-  /// whole drained window* is the load-bearing choice: migrations fire
-  /// exactly when the buckets run dry, i.e. right after the longest
-  /// inter-burst gap in the workload, so any instantaneous estimator (the
-  /// previous per-pop EWMA) systematically samples at its most inflated
-  /// moment. Under a 10k-receiver fan-out that inflated a ~0.4 us true mean
-  /// gap to ~1 ms, producing buckets wider than the tx+latency horizon —
-  /// every completion then ordered-inserted its arrival into the bucket
-  /// being drained, degenerating the calendar into one giant sorted array
-  /// (terabytes of memmove over a bench run). Derived purely from popped
-  /// timestamps, so it is deterministic.
-  std::int64_t window_gap_ewma_ns_{-1};  ///< -1 until the first full window
-  std::int64_t last_pop_when_ns_{0};
-  std::int64_t window_first_pop_ns_{0};  ///< first pop of the current window
-  std::uint64_t window_pops_{0};         ///< pops since the last migration
-  void note_popped(std::int64_t when_ns) {
-    if (window_pops_ == 0) window_first_pop_ns_ = when_ns;
-    last_pop_when_ns_ = when_ns;
-    ++window_pops_;
-  }
+  /// Every queued entry is at or after last_ns_; outside the run loop,
+  /// last_ns_ <= now() too, except after a step() that popped only cancelled
+  /// entries, which leaves the queue empty (push_entry re-anchors it).
+  std::int64_t last_ns_{0};
+  /// buckets_[0] is consumed from front_head_; buckets 1..63 are taken
+  /// whole. Bit b of occupied_ marks buckets_[b] as holding entries not yet
+  /// taken, and bucket_min_[b] is then their minimum timestamp (for bucket 0,
+  /// last_ns_).
+  std::array<std::vector<Entry>, 64> buckets_;
+  std::array<std::int64_t, 64> bucket_min_{};
+  std::uint64_t occupied_{0};
+  std::size_t front_head_{0};
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

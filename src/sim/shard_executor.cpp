@@ -73,7 +73,7 @@ void ShardExecutor::drain_channels(std::int64_t bound_ns) {
   // Deterministic merge: every pending handoff, ordered by (when, channel id,
   // post sequence). Channel ids and per-channel sequences are stable across
   // runs and thread counts, so the injection order — and therefore the
-  // destination scheduler's tie-breaking sequence numbers — is too.
+  // destination scheduler's order among equal timestamps — is too.
   struct Pending {
     std::int64_t when_ns;
     std::size_t channel;

@@ -1,10 +1,12 @@
 #include "topo/discovery.hpp"
 
+#include <utility>
+
 namespace tsim::topo {
 
 DiscoveryService::DiscoveryService(sim::Simulation& simulation, mcast::MulticastRouter& mcast,
                                    Config config)
-    : simulation_{simulation}, mcast_{mcast}, config_{config} {}
+    : simulation_{simulation}, mcast_{mcast}, config_{std::move(config)} {}
 
 void DiscoveryService::track_session(net::SessionId session, net::LayerId max_layer) {
   tracked_[session] = max_layer;

@@ -1,7 +1,8 @@
 // Heap-allocation counts on the packet datapath and in per-node set-up. This
 // binary replaces the global operator new with a counting one, so it holds
-// only tests that read the count: the datapath must not allocate per packet,
-// and a link or a node's demux must not allocate before it is used.
+// only tests that read the count: the datapath and the event queue must not
+// allocate per packet, and a link or a node's demux must not allocate before
+// it is used.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
+#include "traffic/layered_source.hpp"
 #include "transport/demux.hpp"
 
 namespace {
@@ -76,6 +78,60 @@ TEST(AllocationCount, PacketsSentOneAtATimeDoNotAllocate) {
   const double per_send = static_cast<double>(allocations() - before) / kSends;
   EXPECT_EQ(delivered, 200 + kSends);
   EXPECT_LE(per_send, 0.1);
+}
+
+TEST(AllocationCount, VbrStarRunsWithoutAllocatingPerPacket) {
+  // One VBR source multicasting every layer onto 25 access links (10 Mbps,
+  // 5 ms, 64-packet queues): each burst fans out into same-timestamp events
+  // and queues wait and drain. Once the run has seen its peak burst, the
+  // event queue and the link rings reuse their capacity.
+  sim::Simulation simulation{1};
+  Network network{simulation};
+  const NodeId src = network.add_node("src");
+  std::vector<LinkId> links;
+  for (int i = 0; i < 25; ++i) {
+    links.push_back(network.add_link(src, network.add_node(), units::BitsPerSec{10e6}, 5_ms, 64));
+  }
+  network.compute_routes();
+  struct Star final : MulticastForwarder {
+    NodeId origin{kInvalidNode};
+    const std::vector<LinkId>* links{nullptr};
+    void route(NodeId node, const Packet&, std::vector<LinkId>& out, bool& local) override {
+      if (node == origin) {
+        out.insert(out.end(), links->begin(), links->end());
+      } else {
+        local = true;
+      }
+    }
+  } forwarder;
+  forwarder.origin = src;
+  forwarder.links = &links;
+  network.set_multicast_forwarder(&forwarder);
+  std::uint64_t delivered = 0;
+  for (const LinkId id : links) {
+    network.set_local_sink(network.link(id).to(), [&delivered](const PacketRef&) { ++delivered; });
+  }
+  traffic::LayeredSource::Config cfg;
+  cfg.node = src;
+  cfg.model = traffic::TrafficModel::kVbr;
+  traffic::LayeredSource source{simulation, network, cfg};
+  source.start();
+  const auto link_packets = [&] {
+    std::uint64_t total = 0;
+    for (const LinkId id : links) total += network.link(id).stats().enqueued_packets;
+    return total;
+  };
+
+  simulation.run_until(30_s);  // warm-up
+  const std::size_t before = allocations();
+  const std::uint64_t packets_before = link_packets();
+  simulation.run_until(90_s);
+  const std::uint64_t packets = link_packets() - packets_before;
+  ASSERT_GT(packets, 100'000u);
+  EXPECT_GT(delivered, 0u);
+  const double per_thousand =
+      1000.0 * static_cast<double>(allocations() - before) / static_cast<double>(packets);
+  EXPECT_LE(per_thousand, 5.0);
 }
 
 TEST(AllocationCount, LinkAllocatesNothingUntilAPacketWaits) {

@@ -60,7 +60,6 @@ TEST(AuditScenarioTest, MultiDomainSummaryExchange) {
   ScenarioConfig cfg = audited_config(13, 120_s);
   cfg.traffic.model = traffic::TrafficModel::kVbr;
   cfg.traffic.peak_to_mean = 3.0;
-  cfg.domains.summary_period = 5_s;
   auto scenario = ScenarioBuilder(cfg).topology(*parsed.description).build();
   ASSERT_NE(scenario->domains(), nullptr);
   ASSERT_EQ(scenario->domains()->domain_count(), 3u);

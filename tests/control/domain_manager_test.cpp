@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenarios/scenario.hpp"
@@ -126,8 +129,6 @@ TEST(DomainManagerTest, SummariesAndCapsFlowBetweenDomains) {
   cfg.traffic.model = traffic::TrafficModel::kVbr;
   cfg.traffic.peak_to_mean = 6.0;
   cfg.duration = 40_s;
-  cfg.domains.summary_period = 2_s;
-  cfg.domains.summary_start = 3_s;
   auto s = ScenarioBuilder(cfg).topology(*parsed.description).build();
 
   control::DomainManager* manager = s->domains();
@@ -179,12 +180,65 @@ TEST(DomainManagerTest, MultiDomainRunsAreDeterministic) {
     cfg.traffic.model = traffic::TrafficModel::kVbr;
     cfg.traffic.peak_to_mean = 6.0;
     cfg.duration = 30_s;
-    cfg.domains.summary_period = 2_s;
     auto s = ScenarioBuilder(cfg).topology(*parsed.description).build();
     s->run();
     return fingerprint(*s);
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// Builds a DomainManager directly over four bare nodes, so each partition
+/// check is reached without the topology grammar refusing the input first.
+class DomainPartitionTest : public ::testing::Test {
+ protected:
+  DomainPartitionTest() {
+    for (int i = 0; i < 4; ++i) network_.add_node();
+  }
+
+  /// The refusal's message, or "" when the partition is accepted.
+  std::string refusal(std::vector<control::Domain> domains) {
+    try {
+      const control::DomainManager manager{
+          simulation_, network_, demuxes_, std::move(domains),
+          [](std::size_t, const control::Domain&) {
+            return std::make_unique<control::NullController>();
+          }};
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+  sim::Simulation simulation_{1};
+  net::Network network_{simulation_};
+  transport::DemuxRegistry demuxes_{network_};
+  const control::Domain root_{"root", 0, {0, 1}, -1};
+};
+
+TEST_F(DomainPartitionTest, AcceptsAForest) {
+  EXPECT_EQ(refusal({root_, {"child", 2, {2, 3}, 0}}), "");
+}
+
+TEST_F(DomainPartitionTest, RefusesANodeWithTwoOwners) {
+  EXPECT_EQ(refusal({root_, {"child", 2, {1, 2, 3}, 0}}),
+            "node 1 is owned by domains 'root' and 'child'");
+}
+
+TEST_F(DomainPartitionTest, RefusesAControllerOutsideItsDomain) {
+  EXPECT_EQ(refusal({root_, {"child", 2, {3}, 0}}),
+            "domain 'child' does not own its own controller node");
+}
+
+TEST_F(DomainPartitionTest, RefusesAnInvalidParent) {
+  EXPECT_EQ(refusal({root_, {"child", 2, {2, 3}, 2}}),
+            "domain 'child' has an invalid parent index");
+  EXPECT_EQ(refusal({root_, {"child", 2, {2, 3}, 1}}),
+            "domain 'child' has an invalid parent index");
+}
+
+TEST_F(DomainPartitionTest, RefusesAParentCycle) {
+  EXPECT_EQ(refusal({{"a", 0, {0, 1}, 1}, {"b", 2, {2, 3}, 0}}),
+            "domain parent links contain a cycle");
 }
 
 TEST(DomainManagerTest, ReceiverDrivenSchemesStayIndependent) {

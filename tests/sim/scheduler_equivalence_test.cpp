@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -13,17 +14,17 @@
 namespace tsim::sim {
 namespace {
 
-// The calendar queue replaced a binary heap; both must execute the identical
-// total order (timestamp, then schedule sequence) so that every simulation
+// The Scheduler's radix heap must execute the same total order as a binary
+// heap on (timestamp, schedule sequence), so that every simulation
 // fingerprint is independent of the queue structure. These tests drive the
 // Scheduler and a reference heap through the same randomized schedule /
 // cancel / run workloads and assert the execution traces and pending counts
 // match exactly, and that the Scheduler's slot pool stays consistent.
 
 /// The reference: a binary min-heap on (timestamp, schedule sequence), the
-/// structure the scheduler used before the calendar queue. Every event of a
-/// run keeps its record, indexed by schedule order, so cancellation is a flag
-/// and a handle to a fired or cancelled event misses.
+/// structure the seed's scheduler used. Every event of a run keeps its
+/// record, indexed by schedule order, so cancellation is a flag and a handle
+/// to a fired or cancelled event misses.
 class ReferenceHeap {
  public:
   EventId schedule_at(Time when, std::function<void()> cb) {
@@ -131,8 +132,10 @@ class WorkloadDriver {
 
 /// One randomized schedule–cancel–run script, applied identically to both
 /// drivers. Operations are drawn from a seeded Rng, so failures reproduce.
+/// Every 50th operation drains both queues to empty and leaves the clock
+/// past the last event, so each seed re-anchors an empty queue several times.
 void run_random_workload(std::uint64_t seed, int operations) {
-  WorkloadDriver<Scheduler> calendar;
+  WorkloadDriver<Scheduler> radix;
   WorkloadDriver<ReferenceHeap> heap;
   Rng rng{seed};
 
@@ -141,20 +144,27 @@ void run_random_workload(std::uint64_t seed, int operations) {
   std::size_t scheduled = 0;
   for (int op = 0; op < operations; ++op) {
     const double dice = rng.uniform(0.0, 1.0);
-    if (dice < 0.55) {
-      // Schedule: cluster timestamps so same-bucket appends, in-bucket
-      // ordered inserts and FIFO ties all occur, with occasional far-future
-      // outliers to exercise the overflow band and window migration.
+    if (op % 50 == 49) {
+      // Drain: the farthest schedule below lies 400 ms past the horizon.
+      horizon_ns += 1'000'000'000;
+      radix.run_until(horizon_ns);
+      heap.run_until(horizon_ns);
+      ASSERT_EQ(radix.queue().queued_entries(), 0u);
+      ASSERT_EQ(radix.trace().size(), heap.trace().size());
+    } else if (dice < 0.55) {
+      // Schedule: cluster timestamps so FIFO ties, nearby buckets and
+      // far-off ones all occur; a far-future entry moves down through
+      // several buckets before it fires.
       std::int64_t when = horizon_ns;
       const double spread = rng.uniform(0.0, 1.0);
       if (spread < 0.4) {
         when += rng.uniform_int(0, 1000);              // dense cluster, many ties
       } else if (spread < 0.8) {
-        when += rng.uniform_int(0, 2'000'000);         // within a typical window
+        when += rng.uniform_int(0, 2'000'000);         // a few ms ahead
       } else {
-        when += rng.uniform_int(0, 400'000'000);       // far future: overflow band
+        when += rng.uniform_int(0, 400'000'000);       // far future
       }
-      calendar.schedule(when, tag);
+      radix.schedule(when, tag);
       heap.schedule(when, tag);
       ++tag;
       ++scheduled;
@@ -163,29 +173,29 @@ void run_random_workload(std::uint64_t seed, int operations) {
       // already cancelled — both must treat stale handles as no-ops).
       const auto n = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(scheduled) - 1));
-      calendar.cancel_nth(n);
+      radix.cancel_nth(n);
       heap.cancel_nth(n);
     } else {
       // Run forward a random amount; both clocks advance identically.
       horizon_ns += rng.uniform_int(0, 5'000'000);
-      calendar.run_until(horizon_ns);
+      radix.run_until(horizon_ns);
       heap.run_until(horizon_ns);
-      ASSERT_EQ(calendar.trace().size(), heap.trace().size());
+      ASSERT_EQ(radix.trace().size(), heap.trace().size());
     }
-    check_pool_invariants(calendar.queue());
-    ASSERT_EQ(calendar.queue().pending_events(), heap.queue().pending_events());
+    check_pool_invariants(radix.queue());
+    ASSERT_EQ(radix.queue().pending_events(), heap.queue().pending_events());
   }
 
   // Drain everything still queued.
-  calendar.run_until(horizon_ns + 1'000'000'000);
+  radix.run_until(horizon_ns + 1'000'000'000);
   heap.run_until(horizon_ns + 1'000'000'000);
 
-  ASSERT_EQ(calendar.trace(), heap.trace())
+  ASSERT_EQ(radix.trace(), heap.trace())
       << "execution order diverged for seed " << seed;
-  EXPECT_EQ(calendar.queue().executed_events(), heap.queue().executed_events());
-  EXPECT_EQ(calendar.queue().pending_events(), 0u);
+  EXPECT_EQ(radix.queue().executed_events(), heap.queue().executed_events());
+  EXPECT_EQ(radix.queue().pending_events(), 0u);
   EXPECT_EQ(heap.queue().pending_events(), 0u);
-  check_pool_invariants(calendar.queue());
+  check_pool_invariants(radix.queue());
 }
 
 TEST(SchedulerEquivalence, RandomizedWorkloadsMatchHeapExactly) {
@@ -197,25 +207,73 @@ TEST(SchedulerEquivalence, RandomizedWorkloadsMatchHeapExactly) {
   }
 }
 
+TEST(SchedulerEquivalence, TimestampsSpanningEveryBucketMatchHeap) {
+  // Offsets from 1 ns to about 2^62 ns spread entries from the radix heap's
+  // lowest buckets to its highest, and re-used timestamps add FIFO ties at
+  // every scale, interleaved with other schedules, cancellations and runs.
+  WorkloadDriver<Scheduler> radix;
+  WorkloadDriver<ReferenceHeap> heap;
+  Rng rng{2024};
+  std::int64_t horizon_ns = 0;
+  std::vector<std::int64_t> used;  // timestamps to repeat as ties
+  std::uint64_t tag = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const double dice = rng.uniform(0.0, 1.0);
+    if (dice < 0.6) {
+      std::int64_t when;
+      if (!used.empty() && rng.uniform(0.0, 1.0) < 0.3) {
+        const auto pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(used.size()) - 1));
+        when = std::max(horizon_ns, used[pick]);
+      } else {
+        const std::int64_t scale = std::int64_t{1} << rng.uniform_int(0, 61);
+        when = horizon_ns + scale + rng.uniform_int(-scale / 2, scale / 2);
+        used.push_back(when);
+      }
+      radix.schedule(when, tag);
+      heap.schedule(when, tag);
+      ++tag;
+    } else if (dice < 0.7 && tag > 0) {
+      const auto n =
+          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(tag) - 1));
+      radix.cancel_nth(n);
+      heap.cancel_nth(n);
+    } else {
+      // Keep the horizon at most 2^61, so horizon + 1.5 * 2^61 fits.
+      const std::int64_t step = std::int64_t{1} << rng.uniform_int(0, 56);
+      horizon_ns = std::min(horizon_ns + step, std::int64_t{1} << 61);
+      radix.run_until(horizon_ns);
+      heap.run_until(horizon_ns);
+      ASSERT_EQ(radix.trace().size(), heap.trace().size());
+    }
+    ASSERT_EQ(radix.queue().pending_events(), heap.queue().pending_events());
+  }
+  radix.run_until(std::numeric_limits<std::int64_t>::max());
+  heap.run_until(std::numeric_limits<std::int64_t>::max());
+  ASSERT_EQ(radix.trace(), heap.trace());
+  EXPECT_EQ(radix.queue().pending_events(), 0u);
+  check_pool_invariants(radix.queue());
+}
+
 TEST(SchedulerEquivalence, SameTimestampFifoTieBreak) {
   // Every event at one timestamp, scheduled in interleaved order with
   // cancellations: both queues must fire survivors in schedule order.
-  WorkloadDriver<Scheduler> calendar;
+  WorkloadDriver<Scheduler> radix;
   WorkloadDriver<ReferenceHeap> heap;
   constexpr std::int64_t kWhen = 5'000'000;
   for (std::uint64_t tag = 0; tag < 1000; ++tag) {
-    calendar.schedule(kWhen, tag);
+    radix.schedule(kWhen, tag);
     heap.schedule(kWhen, tag);
   }
   for (std::size_t n = 0; n < 1000; n += 3) {
-    calendar.cancel_nth(n);
+    radix.cancel_nth(n);
     heap.cancel_nth(n);
   }
-  calendar.run_until(kWhen);
+  radix.run_until(kWhen);
   heap.run_until(kWhen);
-  ASSERT_EQ(calendar.trace(), heap.trace());
-  ASSERT_EQ(calendar.trace().size(), 1000u - 334u);
-  EXPECT_TRUE(std::is_sorted(calendar.trace().begin(), calendar.trace().end()));
+  ASSERT_EQ(radix.trace(), heap.trace());
+  ASSERT_EQ(radix.trace().size(), 1000u - 334u);
+  EXPECT_TRUE(std::is_sorted(radix.trace().begin(), radix.trace().end()));
 }
 
 TEST(SchedulerEquivalence, SlotPoolBoundedByPeakPending) {

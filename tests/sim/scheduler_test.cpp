@@ -119,6 +119,49 @@ TEST(SchedulerTest, StepRunsExactlyOneEvent) {
   EXPECT_FALSE(sched.step());
 }
 
+TEST(SchedulerTest, EmptyQueueAnchorsAtNow) {
+  // The queue files each entry relative to the last minimum it took. An
+  // empty queue must take that reference from now(), not from the first
+  // entry it is given, or an earlier entry scheduled next sorts behind it.
+  Scheduler sched;
+  std::vector<Time> fired;
+  const auto at = [&](Time when) {
+    sched.schedule_at(when, [&] { fired.push_back(sched.now()); });
+  };
+  at(10_ms);
+  at(1_ms);
+  sched.run_until(5_ms);
+  at(6_ms);
+  sched.run_until(20_ms);
+  EXPECT_EQ(fired, (std::vector<Time>{1_ms, 6_ms, 10_ms}));
+
+  // Empty again, with the clock past the last event.
+  fired.clear();
+  sched.run_until(30_ms);
+  at(40_ms);
+  at(35_ms);
+  sched.run_until(50_ms);
+  EXPECT_EQ(fired, (std::vector<Time>{35_ms, 40_ms}));
+}
+
+TEST(SchedulerTest, CancelledOnlyDrainThenEarlierEvent) {
+  // step() pops the cancelled 10 ms entry and finds nothing to run, so the
+  // clock stays at 0 while the queue has already looked at 10 ms. Events
+  // scheduled before 10 ms must still fire at their own times, in order.
+  Scheduler sched;
+  sched.cancel(sched.schedule_at(10_ms, [] {}));
+  EXPECT_FALSE(sched.step());
+  EXPECT_EQ(sched.now(), Time::zero());
+  std::vector<Time> fired;
+  sched.schedule_at(9_ms, [&] { fired.push_back(sched.now()); });
+  sched.schedule_at(5_ms, [&] { fired.push_back(sched.now()); });
+  EXPECT_EQ(sched.next_event_time(), 5_ms);
+  EXPECT_TRUE(sched.step());
+  EXPECT_EQ(fired, (std::vector<Time>{5_ms}));
+  sched.run_until(20_ms);
+  EXPECT_EQ(fired, (std::vector<Time>{5_ms, 9_ms}));
+}
+
 TEST(SimulationTest, RngStreamsAreStablePerLabel) {
   Simulation a{123};
   Simulation b{123};

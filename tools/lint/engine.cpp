@@ -235,8 +235,7 @@ namespace {
 bool generic_marker(const std::string& line, std::string_view check) {
   std::size_t pos = 0;
   while ((pos = line.find("NOLINT(", pos)) != std::string::npos) {
-    // Exclude the legacy "NOLINT-determinism(" form and clang-tidy's
-    // NOLINTNEXTLINE (left alone for clang-tidy itself).
+    // A NOLINT( right after an identifier character belongs to a longer name.
     const bool left_ok = pos == 0 || !is_ident_char(line[pos - 1]);
     pos += std::string_view{"NOLINT("}.size();
     if (!left_ok) continue;
@@ -255,24 +254,11 @@ bool generic_marker(const std::string& line, std::string_view check) {
   return false;
 }
 
-/// Legacy form: NOLINT-determinism(reason) with a non-empty reason.
-bool legacy_determinism_marker(const std::string& line) {
-  const std::size_t pos = line.find("NOLINT-determinism(");
-  if (pos == std::string::npos) return false;
-  const std::size_t open = pos + std::string_view{"NOLINT-determinism("}.size() - 1;
-  const std::size_t close = line.find(')', open);
-  return close != std::string::npos && close > open + 1;
-}
-
 }  // namespace
 
 bool suppressed(const SourceFile& file, std::size_t idx, std::string_view check) {
-  const auto marker = [&](const std::string& line) {
-    if (generic_marker(line, check)) return true;
-    return check == "determinism" && legacy_determinism_marker(line);
-  };
-  if (marker(file.raw[idx])) return true;
-  return idx > 0 && marker(file.raw[idx - 1]);
+  if (generic_marker(file.raw[idx], check)) return true;
+  return idx > 0 && generic_marker(file.raw[idx - 1], check);
 }
 
 SourceFile load_file(const std::filesystem::path& path) {

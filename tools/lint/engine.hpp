@@ -6,8 +6,6 @@
 //   // NOLINT(check-name)            suppress one check
 //   // NOLINT(check-a,check-b)      suppress several checks
 //   // NOLINT(*)                    suppress every check on this line
-//   // NOLINT-determinism(reason)   legacy form, determinism check only;
-//                                   the reason is mandatory and audited
 #pragma once
 
 #include <cstddef>
