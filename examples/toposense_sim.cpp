@@ -194,7 +194,6 @@ int main(int argc, char** argv) {
     // root typically hears summaries rather than raw receiver reports.
     for (std::size_t d = 0; d < domains->domain_count(); ++d) {
       const control::ControllerAgent* agent = domains->agent(d);
-      if (agent == nullptr) continue;
       std::printf("%scontroller[%s]: %llu reports in, %llu suggestions out\n",
                   d == 0 ? "\n" : "", domains->domain(d).name.c_str(),
                   static_cast<unsigned long long>(agent->reports_received()),

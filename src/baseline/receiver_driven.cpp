@@ -1,7 +1,6 @@
 #include "baseline/receiver_driven.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 
 namespace tsim::baseline {
@@ -18,62 +17,28 @@ constexpr double kBackoffMultiplier = 2.0;  ///< growth after each failed experi
 ReceiverDrivenController::ReceiverDrivenController(sim::Simulation& simulation, sim::Time period)
     : simulation_{simulation}, period_{period} {}
 
-control::ReceiverAgent* ReceiverDrivenController::register_receiver(
-    transport::ReceiverEndpoint& endpoint) {
-  auto r = std::make_unique<Receiver>();
-  r->endpoint = &endpoint;
-  r->rng = simulation_.rng_stream("rlm/" + std::to_string(endpoint.config().node) + "/" +
-                                  std::to_string(endpoint.config().session));
+void ReceiverDrivenController::register_receiver(transport::ReceiverEndpoint& endpoint) {
+  Receiver& r = receivers_.emplace_back();
+  r.endpoint = &endpoint;
+  r.rng = simulation_.rng_stream("rlm/" + std::to_string(endpoint.config().node) + "/" +
+                                 std::to_string(endpoint.config().session));
   const auto layers = static_cast<std::size_t>(endpoint.config().layers.num_layers);
-  r->join_not_before.assign(layers, sim::Time::zero());
-  r->join_timer.assign(layers, kJoinTimerMin);
-  receivers_.push_back(std::move(r));
-  return nullptr;
+  r.join_not_before.assign(layers, sim::Time::zero());
+  r.join_timer.assign(layers, kJoinTimerMin);
 }
 
-void ReceiverDrivenController::start_receiver_policies() {
+void ReceiverDrivenController::start() {
   for (std::size_t i = 0; i < receivers_.size(); ++i) {
     // Random phase so independent receivers do not tick in lockstep.
     const sim::Time phase =
-        sim::Time::seconds(receivers_[i]->rng.uniform(0.0, period_.as_seconds()));
+        sim::Time::seconds(receivers_[i].rng.uniform(0.0, period_.as_seconds()));
     simulation_.at(period_ + phase, [this, i]() { tick(i); });
   }
 }
 
-void ReceiverDrivenController::set_enabled(bool enabled) {
-  if (enabled == enabled_) return;
-  enabled_ = enabled;
-  if (!enabled_) ++outages_;
-}
-
-control::ControllerStats ReceiverDrivenController::stats() const {
-  control::ControllerStats s;
-  s.outages = outages_;
-  s.layers_added = layers_added();
-  s.layers_dropped = layers_dropped();
-  return s;
-}
-
-std::uint64_t ReceiverDrivenController::layers_added() const {
-  std::uint64_t n = 0;
-  for (const auto& r : receivers_) n += r->adds;
-  return n;
-}
-
-std::uint64_t ReceiverDrivenController::layers_dropped() const {
-  std::uint64_t n = 0;
-  for (const auto& r : receivers_) n += r->drops;
-  return n;
-}
-
 void ReceiverDrivenController::tick(std::size_t index) {
-  Receiver& r = *receivers_[index];
+  Receiver& r = receivers_[index];
   const sim::Time now = simulation_.now();
-  if (!enabled_) {
-    // Frozen: keep the cadence so a re-enable resumes without rescheduling.
-    simulation_.after(period_, [this, index]() { tick(index); });
-    return;
-  }
   const auto& window = r.endpoint->last_completed_window();
   const double loss = window.loss_rate().value();
   const int sub = r.endpoint->subscription();
@@ -88,13 +53,11 @@ void ReceiverDrivenController::tick(std::size_t index) {
           kJoinTimerMax);
       r.join_not_before[idx] = now + r.join_timer[idx];
       r.endpoint->set_subscription(sub - 1);
-      ++r.drops;
     } else if (sub > 1) {
       // Sustained congestion at the current level.
       r.endpoint->set_subscription(sub - 1);
       const std::size_t idx = static_cast<std::size_t>(sub - 1);
       r.join_not_before[idx] = now + r.join_timer[idx];
-      ++r.drops;
     }
     r.last_added_layer = 0;
   } else {
@@ -113,7 +76,6 @@ void ReceiverDrivenController::tick(std::size_t index) {
         next <= r.endpoint->config().layers.num_layers &&
         now >= r.join_not_before[static_cast<std::size_t>(next - 1)]) {
       r.endpoint->set_subscription(next);
-      ++r.adds;
       r.last_added_layer = next;
       r.experiment_deadline = now + period_ * 2;
       r.clean_intervals = 0;

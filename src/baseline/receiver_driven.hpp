@@ -1,9 +1,8 @@
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
-#include "control/adaptation_controller.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "transport/receiver_endpoint.hpp"
@@ -17,34 +16,23 @@ namespace tsim::baseline {
 /// contrast the paper's introduction motivates (an uninformed receiver can
 /// misattribute a shared-bottleneck loss and make the wrong move).
 ///
-/// One instance drives any number of receivers; the per-receiver state
-/// (including each receiver's own rng stream, keyed "rlm/<node>/<session>" so
-/// runs reproduce the pre-refactor streams exactly) is fully independent —
-/// the shared object only exists so the scheme plugs into the
-/// control::AdaptationController wiring like every other controller.
-class ReceiverDrivenController final : public control::AdaptationController {
+/// One instance drives every receiver of a run; the per-receiver state
+/// (including each receiver's own rng stream, keyed "rlm/<node>/<session>")
+/// is fully independent.
+class ReceiverDrivenController final {
  public:
   /// `period` is each receiver's decision cadence.
   ReceiverDrivenController(sim::Simulation& simulation, sim::Time period);
 
-  control::ReceiverAgent* register_receiver(transport::ReceiverEndpoint& endpoint) override;
+  ReceiverDrivenController(const ReceiverDrivenController&) = delete;
+  ReceiverDrivenController& operator=(const ReceiverDrivenController&) = delete;
 
-  /// No control plane: all timers are per-receiver.
-  void start() override {}
+  void register_receiver(transport::ReceiverEndpoint& endpoint);
 
   /// Schedules each receiver's first decision tick (period + a random phase
   /// from the receiver's own stream, so receivers never tick in lockstep).
-  void start_receiver_policies() override;
-
-  /// While disabled, ticks keep their cadence but make no decisions
-  /// (adaptation freeze — there is no central process to "die" here).
-  void set_enabled(bool enabled) override;
-  [[nodiscard]] bool enabled() const override { return enabled_; }
-
-  [[nodiscard]] control::ControllerStats stats() const override;
-
-  [[nodiscard]] std::uint64_t layers_added() const;
-  [[nodiscard]] std::uint64_t layers_dropped() const;
+  /// Called once, after every endpoint has started.
+  void start();
 
  private:
   struct Receiver {
@@ -55,19 +43,15 @@ class ReceiverDrivenController final : public control::AdaptationController {
     int clean_intervals{0};
     int last_added_layer{0};                 ///< layer under experiment (0 = none)
     sim::Time experiment_deadline{};
-    std::uint64_t adds{0};
-    std::uint64_t drops{0};
   };
 
+  /// One decision for receiver `index` (ticks capture the index, so
+  /// registration may keep appending).
   void tick(std::size_t index);
 
   sim::Simulation& simulation_;
   sim::Time period_;
-  /// unique_ptr per receiver: tick() callbacks capture the Receiver*, which
-  /// must stay stable while registration keeps appending.
-  std::vector<std::unique_ptr<Receiver>> receivers_;
-  bool enabled_{true};
-  std::uint64_t outages_{0};
+  std::vector<Receiver> receivers_;
 };
 
 }  // namespace tsim::baseline

@@ -124,7 +124,6 @@ void ControllerAgent::ingest_border_summary(const transport::DomainSummary& summ
   report.window_end = summary.window_end;
   report.report_seq = summary.summary_seq;
   remember(report);
-  ++summaries_ingested_;
 }
 
 void ControllerAgent::set_session_cap(net::SessionId session, int cap) {
@@ -140,13 +139,9 @@ int ControllerAgent::session_cap(net::SessionId session) const {
   return it == session_caps_.end() ? 0 : it->second;
 }
 
-int ControllerAgent::capped_subscription(const core::Prescription& prescription) {
+int ControllerAgent::capped_subscription(const core::Prescription& prescription) const {
   const int cap = session_cap(prescription.session);
-  if (cap > 0 && prescription.subscription > cap) {
-    ++caps_applied_;
-    return cap;
-  }
-  return prescription.subscription;
+  return cap > 0 ? std::min(cap, prescription.subscription) : prescription.subscription;
 }
 
 void ControllerAgent::handle_report(const net::Packet& packet) {

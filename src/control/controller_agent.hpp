@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "control/adaptation_controller.hpp"
 #include "core/toposense.hpp"
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
@@ -17,6 +16,15 @@
 #include "transport/demux.hpp"
 
 namespace tsim::control {
+
+/// A controller agent's wire and lifecycle counters (see set_enabled for which
+/// of them survive an outage).
+struct ControllerStats {
+  std::uint64_t reports_received{0};
+  std::uint64_t suggestions_sent{0};
+  std::uint64_t intervals_run{0};
+  std::uint64_t outages{0};
+};
 
 /// The paper's per-domain controller agent. An application-level entity at
 /// one node that (1) receives RTCP-like receiver reports, (2) pulls session
@@ -35,7 +43,7 @@ namespace tsim::control {
 /// to (set_session_cap).
 ///
 /// Scenarios run the agent inside a TopoSenseDomain, which adds the topology
-/// provider and the per-receiver watchdogs and is the AdaptationController.
+/// provider and the per-receiver watchdogs.
 class ControllerAgent final {
  public:
   struct Config {
@@ -110,14 +118,12 @@ class ControllerAgent final {
   /// synthetic report from the border pseudo-receiver. Does not touch
   /// reports_received, which counts only real wire reports.
   void ingest_border_summary(const transport::DomainSummary& summary);
-  [[nodiscard]] std::uint64_t summaries_ingested() const { return summaries_ingested_; }
 
   /// Upstream ceiling for `session` from the parent domain's prescription for
   /// our border; every outgoing prescription of the session is clamped to it.
   /// cap <= 0 removes the cap.
   void set_session_cap(net::SessionId session, int cap);
   [[nodiscard]] int session_cap(net::SessionId session) const;  ///< 0 = uncapped
-  [[nodiscard]] std::uint64_t caps_applied() const { return caps_applied_; }
 
   /// Receives every prescription addressed to a border pseudo-receiver (in
   /// place of a wire suggestion). DomainManager turns these into downstream
@@ -146,7 +152,7 @@ class ControllerAgent final {
   void run_interval();
   void send_suggestion(const core::Prescription& prescription);
   /// The prescription's subscription after the session cap (if any).
-  [[nodiscard]] int capped_subscription(const core::Prescription& prescription);
+  [[nodiscard]] int capped_subscription(const core::Prescription& prescription) const;
 
   /// Aggregate of the reports of one receiver that fall inside the algorithm
   /// window (respecting staleness).
@@ -187,8 +193,6 @@ class ControllerAgent final {
   std::map<std::uint64_t, bool> borders_;
   std::map<net::SessionId, int> session_caps_;
   BorderHook border_hook_;
-  std::uint64_t summaries_ingested_{0};
-  std::uint64_t caps_applied_{0};
 };
 
 }  // namespace tsim::control

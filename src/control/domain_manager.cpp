@@ -22,21 +22,19 @@ TopoSenseDomain::TopoSenseDomain(sim::Simulation& simulation, net::Network& netw
                                              demuxes.at(config.node), config);
 }
 
-ReceiverAgent* TopoSenseDomain::register_receiver(transport::ReceiverEndpoint& endpoint) {
+ReceiverAgent& TopoSenseDomain::register_receiver(transport::ReceiverEndpoint& endpoint) {
   agent_->register_receiver(endpoint.config().session, endpoint.config().node);
   watchdogs_.push_back(std::make_unique<ReceiverAgent>(simulation_, endpoint,
                                                        agent_->config().params.interval));
-  return watchdogs_.back().get();
+  return *watchdogs_.back();
 }
 
 void TopoSenseDomain::start() {
-  // Discovery first, then the controller — the order the single-controller
-  // scenario wiring used (the first discovery sample runs synchronously).
   discovery_->start();
   agent_->start();
 }
 
-void TopoSenseDomain::start_receiver_policies() {
+void TopoSenseDomain::start_watchdogs() {
   for (const auto& watchdog : watchdogs_) watchdog->start();
 }
 
@@ -50,7 +48,7 @@ std::uint64_t window_key(std::size_t domain_index, net::SessionId session) {
 
 DomainManager::DomainManager(sim::Simulation& simulation, net::Network& network,
                              transport::DemuxRegistry& demuxes,
-                             std::vector<Domain> domains, const SchemeFactory& factory)
+                             std::vector<Domain> domains, const DomainFactory& factory)
     : simulation_{simulation}, network_{network} {
   entries_.reserve(domains.size());
   for (Domain& domain : domains) {
@@ -61,23 +59,14 @@ DomainManager::DomainManager(sim::Simulation& simulation, net::Network& network,
   validate_partition();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     Entry& entry = entries_[i];
-    entry.scheme = factory(i, entry.domain);
-    if (entry.scheme == nullptr) {
-      throw std::invalid_argument("domain scheme factory returned null for domain '" +
+    entry.unit = factory(i, entry.domain);
+    if (entry.unit == nullptr) {
+      throw std::invalid_argument("domain factory returned null for domain '" +
                                   entry.domain.name + "'");
-    }
-    if (auto* unit = dynamic_cast<TopoSenseDomain*>(entry.scheme.get())) {
-      entry.agent = &unit->agent();
     }
   }
 
-  // The inter-domain exchange needs a ControllerAgent on both ends of every
-  // parent link; schemes without one (baseline, null) run their domains
-  // independently.
-  summaries_enabled_ = entries_.size() > 1 &&
-                       std::all_of(entries_.begin(), entries_.end(),
-                                   [](const Entry& e) { return e.agent != nullptr; });
-  if (summaries_enabled_) {
+  if (summaries_enabled()) {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (entries_[i].domain.parent >= 0) {
         child_of_border_.emplace(entries_[i].domain.controller_node, i);
@@ -91,6 +80,7 @@ DomainManager::DomainManager(sim::Simulation& simulation, net::Network& network,
 
 void DomainManager::validate_partition() {
   if (entries_.empty()) throw std::invalid_argument("DomainManager needs at least one domain");
+  domain_of_node_.assign(network_.node_count(), -1);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Domain& d = entries_[i].domain;
     if (d.controller_node == net::kInvalidNode) {
@@ -101,12 +91,17 @@ void DomainManager::validate_partition() {
                                   "' does not own its own controller node");
     }
     for (const net::NodeId node : d.nodes) {
-      const auto [it, inserted] = domain_of_node_.emplace(node, static_cast<int>(i));
-      if (!inserted) {
+      if (node >= domain_of_node_.size()) {
+        throw std::invalid_argument("domain '" + d.name + "' names node " +
+                                    std::to_string(node) + ", which the network does not have");
+      }
+      int& owner = domain_of_node_[node];
+      if (owner >= 0) {
         throw std::invalid_argument("node " + std::to_string(node) + " is owned by domains '" +
-                                    entries_[static_cast<std::size_t>(it->second)].domain.name +
+                                    entries_[static_cast<std::size_t>(owner)].domain.name +
                                     "' and '" + d.name + "'");
       }
+      owner = static_cast<int>(i);
     }
     if (d.parent >= 0) {
       if (static_cast<std::size_t>(d.parent) >= entries_.size() ||
@@ -129,23 +124,18 @@ void DomainManager::validate_partition() {
   }
 }
 
-ReceiverAgent* DomainManager::register_receiver(transport::ReceiverEndpoint& endpoint) {
+ReceiverAgent& DomainManager::register_receiver(transport::ReceiverEndpoint& endpoint) {
   const int index = domain_of(endpoint.config().node);
   if (index < 0) {
     throw std::invalid_argument("receiver node " + std::to_string(endpoint.config().node) +
                                 " is not owned by any domain");
   }
-  return entries_[static_cast<std::size_t>(index)].scheme->register_receiver(endpoint);
-}
-
-int DomainManager::domain_of(net::NodeId node) const {
-  const auto it = domain_of_node_.find(node);
-  return it == domain_of_node_.end() ? -1 : it->second;
+  return entries_[static_cast<std::size_t>(index)].unit->register_receiver(endpoint);
 }
 
 void DomainManager::start() {
-  for (const auto& entry : entries_) entry.scheme->start();
-  if (!summaries_enabled_) return;
+  for (const auto& entry : entries_) entry.unit->start();
+  if (!summaries_enabled()) return;
 
   // Register every child's border with its parent now, for every session the
   // child participates in: registration order must come from the domain
@@ -153,9 +143,10 @@ void DomainManager::start() {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& child = entries_[i];
     if (child.domain.parent < 0) continue;
-    Entry& parent = entries_[static_cast<std::size_t>(child.domain.parent)];
-    for (const auto& [session, receivers] : child.agent->registered()) {
-      parent.agent->register_border_receiver(session, child.domain.controller_node);
+    ControllerAgent& parent =
+        entries_[static_cast<std::size_t>(child.domain.parent)].unit->agent();
+    for (const auto& [session, receivers] : child.unit->agent().registered()) {
+      parent.register_border_receiver(session, child.domain.controller_node);
     }
   }
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -165,7 +156,7 @@ void DomainManager::start() {
           return e.domain.parent == static_cast<int>(i);
         });
     if (has_borders) {
-      entry.agent->set_border_hook(
+      entry.unit->agent().set_border_hook(
           [this, i](const core::Prescription& p) { send_cap(i, p); });
     }
     if (entry.domain.parent >= 0) {
@@ -174,40 +165,22 @@ void DomainManager::start() {
   }
 }
 
-void DomainManager::start_receiver_policies() {
-  for (const auto& entry : entries_) entry.scheme->start_receiver_policies();
+void DomainManager::start_watchdogs() {
+  for (const auto& entry : entries_) entry.unit->start_watchdogs();
 }
 
 void DomainManager::set_enabled(bool enabled) {
-  for (const auto& entry : entries_) entry.scheme->set_enabled(enabled);
-}
-
-bool DomainManager::enabled() const {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [](const Entry& e) { return e.scheme->enabled(); });
-}
-
-ControllerStats DomainManager::stats() const {
-  ControllerStats total;
-  for (const auto& entry : entries_) {
-    const ControllerStats s = entry.scheme->stats();
-    total.reports_received += s.reports_received;
-    total.suggestions_sent += s.suggestions_sent;
-    total.intervals_run += s.intervals_run;
-    total.outages += s.outages;
-    total.layers_added += s.layers_added;
-    total.layers_dropped += s.layers_dropped;
-  }
-  return total;
+  for (const auto& entry : entries_) entry.unit->agent().set_enabled(enabled);
 }
 
 void DomainManager::send_summaries(std::size_t index) {
   Entry& child = entries_[index];
   const Entry& parent = entries_[static_cast<std::size_t>(child.domain.parent)];
-  if (child.agent->enabled()) {
+  const ControllerAgent& agent = child.unit->agent();
+  if (agent.enabled()) {
     const Time now = simulation_.now();
-    for (const auto& [session, receivers] : child.agent->registered()) {
-      transport::DomainSummary summary = child.agent->build_session_summary(session, now);
+    for (const auto& [session, receivers] : agent.registered()) {
+      transport::DomainSummary summary = agent.build_session_summary(session, now);
       if (summary.receiver_count == 0) continue;  // nothing learned yet
       auto payload = std::make_shared<transport::DomainSummary>(summary);
       payload->direction = transport::DomainSummary::Direction::kDemand;
@@ -231,8 +204,7 @@ void DomainManager::send_summaries(std::size_t index) {
 void DomainManager::handle_summary(std::size_t index, const net::Packet& packet) {
   const auto* summary = dynamic_cast<const transport::DomainSummary*>(packet.control.get());
   if (summary == nullptr) return;
-  Entry& entry = entries_[index];
-  if (entry.agent == nullptr) return;
+  ControllerAgent& agent = entries_[index].unit->agent();
   switch (summary->direction) {
     case transport::DomainSummary::Direction::kDemand: {
       if (child_of_border_.count(summary->border) == 0) {
@@ -250,12 +222,12 @@ void DomainManager::handle_summary(std::size_t index, const net::Packet& packet)
       } else {
         last_ingested_window_[key] = summary->window_end;
       }
-      entry.agent->ingest_border_summary(*summary);
+      agent.ingest_border_summary(*summary);
       ++summaries_received_;
       break;
     }
     case transport::DomainSummary::Direction::kCap: {
-      entry.agent->set_session_cap(summary->session, summary->subscription);
+      agent.set_session_cap(summary->session, summary->subscription);
       ++caps_received_;
       break;
     }
@@ -292,7 +264,7 @@ void DomainManager::note_violation(std::string detail) {
 
 void DomainManager::check_consistency(
     const std::function<void(const std::string&)>& report) const {
-  // Ownership: the node->domain map must agree with the domain node lists
+  // Ownership: the node->domain table must agree with the domain node lists
   // (they are built together, so a mismatch means memory corruption or a
   // partition edited after construction).
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -304,10 +276,10 @@ void DomainManager::check_consistency(
     }
   }
   for (const auto& entry : entries_) {
-    if (entry.agent == nullptr) continue;
-    const int layers = entry.agent->config().params.layers.num_layers;
-    for (const auto& [session, receivers] : entry.agent->registered()) {
-      const int cap = entry.agent->session_cap(session);
+    const ControllerAgent& agent = entry.unit->agent();
+    const int layers = agent.config().params.layers.num_layers;
+    for (const auto& [session, receivers] : agent.registered()) {
+      const int cap = agent.session_cap(session);
       if (cap != 0 && (cap < 1 || cap > layers)) {
         report("domain '" + entry.domain.name + "' session " + std::to_string(session) +
                " cap " + std::to_string(cap) + " outside [1, " + std::to_string(layers) + "]");

@@ -8,13 +8,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "control/adaptation_controller.hpp"
 #include "control/controller_agent.hpp"
 #include "control/receiver_agent.hpp"
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
 #include "topo/provider.hpp"
 #include "transport/demux.hpp"
+#include "transport/receiver_endpoint.hpp"
 
 namespace tsim::control {
 
@@ -36,26 +36,24 @@ struct Domain {
 /// constructed and started in exactly the order the single-controller
 /// scenario wiring used, so a one-domain run is bit-identical to the
 /// pre-domain code (pinned by tests/control/domain_manager_test.cpp).
-class TopoSenseDomain final : public AdaptationController {
+class TopoSenseDomain final {
  public:
   TopoSenseDomain(sim::Simulation& simulation, net::Network& network,
                   transport::DemuxRegistry& demuxes,
                   std::unique_ptr<topo::TopologyProvider> discovery,
                   ControllerAgent::Config config);
 
-  ReceiverAgent* register_receiver(transport::ReceiverEndpoint& endpoint) override;
-  void start() override;
-  void start_receiver_policies() override;
-  void set_enabled(bool enabled) override { agent_->set_enabled(enabled); }
-  [[nodiscard]] bool enabled() const override { return agent_->enabled(); }
-  [[nodiscard]] ControllerStats stats() const override { return agent_->stats(); }
+  /// Registers the endpoint with the agent and gives it a watchdog, which
+  /// the domain owns.
+  ReceiverAgent& register_receiver(transport::ReceiverEndpoint& endpoint);
+  /// Starts discovery, then the agent (the first discovery sample runs
+  /// synchronously).
+  void start();
+  /// Starts the watchdogs, in registration order.
+  void start_watchdogs();
 
   [[nodiscard]] ControllerAgent& agent() { return *agent_; }
-  [[nodiscard]] const ControllerAgent& agent() const { return *agent_; }
   [[nodiscard]] topo::TopologyProvider& discovery() { return *discovery_; }
-  [[nodiscard]] const std::vector<std::unique_ptr<ReceiverAgent>>& watchdogs() const {
-    return watchdogs_;
-  }
 
  private:
   sim::Simulation& simulation_;
@@ -64,11 +62,10 @@ class TopoSenseDomain final : public AdaptationController {
   std::vector<std::unique_ptr<ReceiverAgent>> watchdogs_;
 };
 
-/// Composes one adaptation scheme per routing domain behind the single
-/// AdaptationController the scenario wiring talks to, and runs the
-/// inter-domain control plane between them:
+/// Runs one TopoSenseDomain per routing domain and the inter-domain control
+/// plane between them:
 ///
-///   * receivers are routed to their domain's scheme by node ownership;
+///   * receivers are routed to their domain's unit by node ownership;
 ///   * each child domain periodically compresses its state into a
 ///     DomainSummary and unicasts it (a real kSummary packet, subject to
 ///     queueing and loss) to its parent's controller, where it is ingested as
@@ -78,11 +75,9 @@ class TopoSenseDomain final : public AdaptationController {
 ///     bottleneck above the border still binds receivers the parent has
 ///     never heard of.
 ///
-/// Scheme construction is delegated to a factory, so the manager composes N
-/// controllers without branching on a controller kind; the summary exchange
-/// arms itself only when every domain's scheme exposes a ControllerAgent
-/// (receiver-driven and null schemes run their domains fully independently).
-class DomainManager final : public AdaptationController {
+/// The manager is the one owner of node -> domain ownership. The summary
+/// exchange arms whenever there is more than one domain.
+class DomainManager final {
  public:
   /// Child -> parent summary cadence and first exchange. The cap direction
   /// is event-driven (one cap per parent interval that prescribed for the
@@ -90,53 +85,63 @@ class DomainManager final : public AdaptationController {
   static constexpr sim::Time kSummaryPeriod = sim::Time::seconds(5);
   static constexpr sim::Time kSummaryStart = sim::Time::seconds(5);
 
-  /// Builds the scheme for one domain. Called once per domain, in domain
-  /// order, during DomainManager construction.
-  using SchemeFactory =
-      std::function<std::unique_ptr<AdaptationController>(std::size_t index, const Domain&)>;
+  /// Builds the unit of one domain. Called once per domain, in domain order,
+  /// during DomainManager construction.
+  using DomainFactory =
+      std::function<std::unique_ptr<TopoSenseDomain>(std::size_t index, const Domain&)>;
 
   /// `domains` needs at least one entry, and its parents must form a forest.
-  /// Throws std::invalid_argument when the domain list is empty, a node is
-  /// owned by two domains, a controller node is outside its own domain, a
-  /// parent index is invalid, or the parent links contain a cycle.
+  /// Throws std::invalid_argument when the domain list is empty, a domain
+  /// names a node the network does not have, a node is owned by two domains,
+  /// a controller node is outside its own domain, a parent index is invalid,
+  /// or the parent links contain a cycle.
   DomainManager(sim::Simulation& simulation, net::Network& network,
                 transport::DemuxRegistry& demuxes, std::vector<Domain> domains,
-                const SchemeFactory& factory);
+                const DomainFactory& factory);
 
-  /// Routes the endpoint to the scheme owning its node. Throws
-  /// std::invalid_argument for nodes no domain owns.
-  ReceiverAgent* register_receiver(transport::ReceiverEndpoint& endpoint) override;
+  /// Timers and demux handlers hold `this`.
+  DomainManager(const DomainManager&) = delete;
+  DomainManager& operator=(const DomainManager&) = delete;
 
-  /// Starts every domain's scheme (in domain order), then arms the summary
+  /// Routes the endpoint to the unit owning its node and returns its
+  /// watchdog. Throws std::invalid_argument for nodes no domain owns.
+  ReceiverAgent& register_receiver(transport::ReceiverEndpoint& endpoint);
+
+  /// Starts every domain's unit (in domain order), then arms the summary
   /// exchange: borders are registered with parent controllers for every
   /// session the child participates in, and the periodic demand timers are
   /// scheduled. Border registration happens here — not on first summary
   /// arrival — so the algorithm-input ordering never depends on packet
   /// timing.
-  void start() override;
-  void start_receiver_policies() override;
+  void start();
+  /// Starts every domain's watchdogs, in domain order. Called once, after
+  /// every endpoint has started.
+  void start_watchdogs();
 
-  /// Forwards to every domain (a fault that kills "the controller" kills the
-  /// control plane, not one shard of it; per-domain outages can be injected
-  /// through scheme(i).set_enabled).
-  void set_enabled(bool enabled) override;
-  [[nodiscard]] bool enabled() const override;
-  [[nodiscard]] ControllerStats stats() const override;  ///< summed over domains
+  /// Fault hook: a fault that kills "the controller" kills the control plane
+  /// of every domain, not one shard of it.
+  void set_enabled(bool enabled);
 
   [[nodiscard]] std::size_t domain_count() const { return entries_.size(); }
   [[nodiscard]] const Domain& domain(std::size_t index) const { return entries_[index].domain; }
-  [[nodiscard]] AdaptationController& scheme(std::size_t index) {
-    return *entries_[index].scheme;
-  }
-  /// The domain's ControllerAgent, or nullptr when its scheme is not
-  /// TopoSense-based.
+  /// The TopoSense unit of domain `index`.
+  [[nodiscard]] TopoSenseDomain& scheme(std::size_t index) { return *entries_[index].unit; }
+  /// The controller agent of domain `index`; never null.
   [[nodiscard]] ControllerAgent* agent(std::size_t index) {
-    return entries_[index].agent;
+    return &entries_[index].unit->agent();
   }
   /// Domain owning `node`; -1 when unowned.
-  [[nodiscard]] int domain_of(net::NodeId node) const;
+  [[nodiscard]] int domain_of(net::NodeId node) const {
+    return node < domain_of_node_.size() ? domain_of_node_[node] : -1;
+  }
+  /// Controller node of the domain owning `node`; kInvalidNode when unowned.
+  [[nodiscard]] net::NodeId controller_of(net::NodeId node) const {
+    const int index = domain_of(node);
+    return index < 0 ? net::kInvalidNode
+                     : entries_[static_cast<std::size_t>(index)].domain.controller_node;
+  }
 
-  [[nodiscard]] bool summaries_enabled() const { return summaries_enabled_; }
+  [[nodiscard]] bool summaries_enabled() const { return entries_.size() > 1; }
   [[nodiscard]] std::uint64_t summaries_sent() const { return summaries_sent_; }
   [[nodiscard]] std::uint64_t summaries_received() const { return summaries_received_; }
   [[nodiscard]] std::uint64_t caps_sent() const { return caps_sent_; }
@@ -153,8 +158,7 @@ class DomainManager final : public AdaptationController {
  private:
   struct Entry {
     Domain domain;
-    std::unique_ptr<AdaptationController> scheme;
-    ControllerAgent* agent{nullptr};  ///< capability: non-null for TopoSense schemes
+    std::unique_ptr<TopoSenseDomain> unit;
     std::uint32_t summary_seq{0};
   };
 
@@ -168,9 +172,9 @@ class DomainManager final : public AdaptationController {
   sim::Simulation& simulation_;
   net::Network& network_;
   std::vector<Entry> entries_;
-  std::unordered_map<net::NodeId, int> domain_of_node_;
+  /// Owning domain per NodeId, -1 for a node no domain owns.
+  std::vector<int> domain_of_node_;
   std::unordered_map<net::NodeId, std::size_t> child_of_border_;
-  bool summaries_enabled_{false};
   std::uint64_t summaries_sent_{0};
   std::uint64_t summaries_received_{0};
   std::uint64_t caps_sent_{0};

@@ -13,27 +13,6 @@ struct Params {
   /// (p_threshold in the paper).
   double p_threshold{0.02};
 
-  /// "loss rate is high" in Table I (leaf drop on history 001/Lesser).
-  double high_loss{0.08};
-
-  /// "loss is very high" in Table I (leaf halving on 3,7/Greater).
-  double very_high_loss{0.20};
-
-  /// Fraction of children whose loss must sit close to the mean child loss
-  /// for an internal node to be labelled congested (eta_similar).
-  double eta_similar{0.6};
-
-  /// Band around the mean child loss that counts as "close": the max of this
-  /// absolute band and `similar_rel` times the mean. The relative term keeps
-  /// heavily congested siblings (e.g. 20% vs 38% loss) classified as sharing
-  /// one bottleneck — at high loss rates, absolute spread is large.
-  double similar_band{0.02};
-  double similar_rel{0.5};
-
-  /// Relative tolerance for the Table-I "BW Equality" comparison of bytes
-  /// received in the two preceding intervals.
-  double bw_equal_tolerance{0.15};
-
   /// Multiplicative inflation applied to a finite link-capacity estimate each
   /// interval ("the estimate is increased every interval by a small amount").
   double capacity_growth{0.02};

@@ -8,7 +8,18 @@ namespace tsim::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
+
+/// Fraction of children whose loss must sit close to the mean child loss for
+/// an internal node to be labelled congested (the paper's eta_similar).
+constexpr double kEtaSimilar = 0.6;
+
+/// Band around the mean child loss that counts as "close": the max of this
+/// absolute band and kSimilarRel times the mean. The relative term keeps
+/// heavily congested siblings (e.g. 20% vs 38% loss) classified as sharing
+/// one bottleneck — at high loss rates, absolute spread is large.
+constexpr double kSimilarBand = 0.02;
+constexpr double kSimilarRel = 0.5;
+}  // namespace
 
 LabeledTree::LabeledTree(TreeIndex t)
     : tree{std::move(t)},
@@ -63,7 +74,7 @@ void label_congestion(LabeledTree& lt, const Params& params) {
     bool self_congested = false;
     if (child_count > 0 && above_threshold == child_count) {
       const double mean = sum_loss / static_cast<double>(child_count);
-      const double band = std::max(params.similar_band, params.similar_rel * mean);
+      const double band = std::max(kSimilarBand, kSimilarRel * mean);
       std::size_t similar =
           n.is_receiver && std::abs(n.loss_rate.value() - mean) <= band ? 1 : 0;
       for (const auto c : tree.children(i)) {
@@ -72,7 +83,7 @@ void label_congestion(LabeledTree& lt, const Params& params) {
         }
       }
       self_congested =
-          static_cast<double>(similar) >= params.eta_similar * static_cast<double>(child_count);
+          static_cast<double>(similar) >= kEtaSimilar * static_cast<double>(child_count);
     }
     lt.congested[i] = self_congested;
   }

@@ -8,7 +8,15 @@ namespace tsim::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
+
+/// "loss rate is high" in Table I (leaf drop on history 001/Lesser).
+constexpr double kHighLoss = 0.08;
+/// "loss is very high" in Table I (leaf halving on 3,7/Greater).
+constexpr double kVeryHighLoss = 0.20;
+/// Relative tolerance for the Table-I "BW Equality" comparison of bytes
+/// received in the two preceding intervals.
+constexpr double kBwEqualTolerance = 0.15;
+}  // namespace
 
 TopoSense::TopoSense(Params params, sim::Rng rng)
     : params_{params}, rng_{rng}, capacities_{params_} {}
@@ -17,7 +25,7 @@ BwEquality TopoSense::classify_equality(units::Bytes prev, units::Bytes cur) con
   const double a = static_cast<double>(prev.count());
   const double b = static_cast<double>(cur.count());
   const double scale = std::max({a, b, 1.0});
-  if (std::abs(a - b) <= params_.bw_equal_tolerance * scale) return BwEquality::kEqual;
+  if (std::abs(a - b) <= kBwEqualTolerance * scale) return BwEquality::kEqual;
   return a < b ? BwEquality::kLesser : BwEquality::kGreater;
 }
 
@@ -175,7 +183,7 @@ void TopoSense::compute_demands(LabeledTree& lt, const std::vector<NodeMemory*>&
             break;
           }
           case LeafAction::kDropIfHighLoss:
-            if (lt.loss[i] > params_.high_loss && sub > 1) {
+            if (lt.loss[i] > kHighLoss && sub > 1) {
               d = sub - 1;
               maybe_backoff(tree.session(), n.node, std::max(sub, backoff_layer_floor),
                             stable_level, now);
@@ -194,7 +202,7 @@ void TopoSense::compute_demands(LabeledTree& lt, const std::vector<NodeMemory*>&
             }
             break;
           case LeafAction::kHalveIfVeryHighLoss:
-            if (lt.loss[i] > params_.very_high_loss) {
+            if (lt.loss[i] > kVeryHighLoss) {
               d = std::min(sub, std::max(1, layers_for_bw(prev_supply / 2.0)));
             }
             break;

@@ -51,9 +51,6 @@ class FaultInjector {
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// True while a suggestion-drop window is active (visible for tests).
-  [[nodiscard]] double suggestion_drop_probability() const { return suggestion_drop_p_; }
-
  private:
   struct ResolvedLinks {
     std::vector<net::LinkId> links;  ///< both directions of the duplex pair

@@ -165,7 +165,6 @@ class Link {
   /// link never perturbs any other component's randomness. The stream is
   /// forked from the seed the first time p > 0 and kept from then on.
   void set_fault_loss(double probability);
-  [[nodiscard]] double fault_loss() const { return fault_loss_; }
 
   [[nodiscard]] LinkId id() const { return id_; }
   [[nodiscard]] NodeId from() const { return from_; }

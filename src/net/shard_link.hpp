@@ -38,7 +38,6 @@ class ShardLink {
     });
   }
 
-  [[nodiscard]] NodeId entry_node() const { return entry_node_; }
   [[nodiscard]] sim::Time latency() const { return channel_.latency(); }
   [[nodiscard]] std::uint64_t forwarded() const { return channel_.posted(); }
 

@@ -165,72 +165,61 @@ void Scenario::add_session_source(net::SessionId session, net::NodeId node) {
   sources_.push_back(std::make_unique<traffic::LayeredSource>(*simulation_, *network_, cfg));
 }
 
-std::unique_ptr<control::AdaptationController> Scenario::make_scheme(
-    std::size_t index, const control::Domain& domain,
-    const std::vector<control::Domain>& all) {
-  switch (config_.control.kind) {
-    case ControllerKind::kTopoSense: {
-      control::ControllerAgent::Config acfg;
-      acfg.node = domain.controller_node;
-      acfg.params = config_.params;
-      acfg.info_staleness = config_.control.info_staleness;
+std::unique_ptr<control::TopoSenseDomain> Scenario::make_domain(
+    std::size_t index, const control::Domain& domain, const std::vector<control::Domain>& all) {
+  control::ControllerAgent::Config acfg;
+  acfg.node = domain.controller_node;
+  acfg.params = config_.params;
+  acfg.info_staleness = config_.control.info_staleness;
 
-      std::unique_ptr<topo::TopologyProvider> discovery;
-      if (config_.control.discovery == DiscoveryMode::kOracle) {
-        topo::DiscoveryService::Config dcfg;
-        dcfg.sample_period = Time::seconds(1);
-        dcfg.staleness = config_.control.info_staleness;
-        if (all.size() > 1) {
-          // Scope the oracle to this domain plus its children's borders (the
-          // pseudo-receivers the parent prescribes for). Single-domain runs
-          // stay unscoped — the pre-domain configuration, byte for byte.
-          for (const net::NodeId n : domain.nodes) dcfg.domain_nodes.insert(n);
-          for (const auto& child : all) {
-            if (child.parent == static_cast<int>(index)) {
-              dcfg.domain_nodes.insert(child.controller_node);
-            }
-          }
-          dcfg.domain_root = domain.controller_node;
+  std::unique_ptr<topo::TopologyProvider> discovery;
+  if (config_.control.discovery == DiscoveryMode::kOracle) {
+    topo::DiscoveryService::Config dcfg;
+    dcfg.sample_period = Time::seconds(1);
+    dcfg.staleness = config_.control.info_staleness;
+    if (all.size() > 1) {
+      // Scope the oracle to this domain plus its children's borders (the
+      // pseudo-receivers the parent prescribes for). Single-domain runs
+      // stay unscoped — the pre-domain configuration, byte for byte.
+      for (const net::NodeId n : domain.nodes) dcfg.domain_nodes.insert(n);
+      for (const auto& child : all) {
+        if (child.parent == static_cast<int>(index)) {
+          dcfg.domain_nodes.insert(child.controller_node);
         }
-        discovery =
-            std::make_unique<topo::DiscoveryService>(*simulation_, *mcast_, std::move(dcfg));
-      } else {
-        topo::MtraceDiscovery::Config dcfg;
-        dcfg.tool_node = domain.controller_node;
-        dcfg.query_period = config_.params.interval;
-        auto mtrace = std::make_unique<topo::MtraceDiscovery>(*simulation_, *network_, *mcast_,
-                                                              *demuxes_, dcfg);
-        // mtrace scoping is per-receiver registration: this domain's own
-        // receivers plus each child's border for the sessions the child has
-        // receivers in.
-        const std::unordered_set<net::NodeId> members{domain.nodes.begin(), domain.nodes.end()};
-        for (const ReceiverResult& r : results_) {
-          if (members.count(r.node) != 0) mtrace->register_receiver(r.session, r.node);
-        }
-        for (const auto& child : all) {
-          if (child.parent != static_cast<int>(index)) continue;
-          const std::unordered_set<net::NodeId> child_members{child.nodes.begin(),
-                                                              child.nodes.end()};
-          std::set<net::SessionId> child_sessions;
-          for (const ReceiverResult& r : results_) {
-            if (child_members.count(r.node) != 0) child_sessions.insert(r.session);
-          }
-          for (const net::SessionId session : child_sessions) {
-            mtrace->register_receiver(session, child.controller_node);
-          }
-        }
-        discovery = std::move(mtrace);
       }
-      return std::make_unique<control::TopoSenseDomain>(*simulation_, *network_, *demuxes_,
-                                                        std::move(discovery), acfg);
+      dcfg.domain_root = domain.controller_node;
     }
-    case ControllerKind::kReceiverDriven:
-      return std::make_unique<baseline::ReceiverDrivenController>(*simulation_,
-                                                                  config_.params.interval);
-    case ControllerKind::kNone:
-      return std::make_unique<control::NullController>();
+    discovery =
+        std::make_unique<topo::DiscoveryService>(*simulation_, *mcast_, std::move(dcfg));
+  } else {
+    topo::MtraceDiscovery::Config dcfg;
+    dcfg.tool_node = domain.controller_node;
+    dcfg.query_period = config_.params.interval;
+    auto mtrace = std::make_unique<topo::MtraceDiscovery>(*simulation_, *network_, *mcast_,
+                                                          *demuxes_, dcfg);
+    // mtrace scoping is per-receiver registration: this domain's own
+    // receivers plus each child's border for the sessions the child has
+    // receivers in.
+    const std::unordered_set<net::NodeId> members{domain.nodes.begin(), domain.nodes.end()};
+    for (const ReceiverResult& r : results_) {
+      if (members.count(r.node) != 0) mtrace->register_receiver(r.session, r.node);
+    }
+    for (const auto& child : all) {
+      if (child.parent != static_cast<int>(index)) continue;
+      const std::unordered_set<net::NodeId> child_members{child.nodes.begin(),
+                                                          child.nodes.end()};
+      std::set<net::SessionId> child_sessions;
+      for (const ReceiverResult& r : results_) {
+        if (child_members.count(r.node) != 0) child_sessions.insert(r.session);
+      }
+      for (const net::SessionId session : child_sessions) {
+        mtrace->register_receiver(session, child.controller_node);
+      }
+    }
+    discovery = std::move(mtrace);
   }
-  throw std::logic_error("unknown controller kind");
+  return std::make_unique<control::TopoSenseDomain>(*simulation_, *network_, *demuxes_,
+                                                    std::move(discovery), acfg);
 }
 
 void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& receivers,
@@ -241,17 +230,25 @@ void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& re
     }
   }
 
-  const bool toposense = config_.control.kind == ControllerKind::kTopoSense;
-
   // Each receiver reports to the controller of the domain owning its node, so
   // every controller is a routing sink: one destination-rooted row answers
   // the reports of all its receivers, however many there are.
-  std::vector<net::NodeId> controller_of(network_->node_count(), net::kInvalidNode);
-  for (const control::Domain& d : domains) {
-    network_->add_routing_sink(d.controller_node);
-    for (const net::NodeId n : d.nodes) {
-      if (controller_of[n] == net::kInvalidNode) controller_of[n] = d.controller_node;
-    }
+  for (const control::Domain& d : domains) network_->add_routing_sink(d.controller_node);
+
+  switch (config_.control.kind) {
+    case ControllerKind::kTopoSense:
+      domain_manager_ = std::make_unique<control::DomainManager>(
+          *simulation_, *network_, *demuxes_, domains,
+          [this, &domains](std::size_t index, const control::Domain& domain) {
+            return make_domain(index, domain, domains);
+          });
+      break;
+    case ControllerKind::kReceiverDriven:
+      receiver_driven_ = std::make_unique<baseline::ReceiverDrivenController>(
+          *simulation_, config_.params.interval);
+      break;
+    case ControllerKind::kNone:
+      break;
   }
 
   for (std::size_t i = 0; i < results_.size(); ++i) {
@@ -260,7 +257,7 @@ void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& re
     cfg.node = node;
     cfg.session = results_[i].session;
     cfg.layers = config_.params.layers;
-    cfg.controller = toposense ? controller_of[node] : net::kInvalidNode;
+    cfg.controller = domain_manager_ ? domain_manager_->controller_of(node) : net::kInvalidNode;
     cfg.report_period = config_.control.report_period == Time::zero()
                             ? config_.params.interval
                             : config_.control.report_period;
@@ -269,36 +266,29 @@ void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& re
     cfg.stop = receivers[i].stop;
     endpoints_.push_back(std::make_unique<transport::ReceiverEndpoint>(
         *simulation_, *network_, *mcast_, demuxes_->at(node), cfg));
-    endpoints_.back()->on_subscription_change([this, i](Time when, int /*old*/, int now_level) {
+    transport::ReceiverEndpoint& endpoint = *endpoints_.back();
+    endpoint.on_subscription_change([this, i](Time when, int /*old*/, int now_level) {
       results_[i].timeline.record(when, now_level);
     });
+    if (domain_manager_) receiver_agents_.push_back(&domain_manager_->register_receiver(endpoint));
+    if (receiver_driven_) receiver_driven_->register_receiver(endpoint);
   }
-
-  domain_manager_ = std::make_unique<control::DomainManager>(
-      *simulation_, *network_, *demuxes_, domains,
-      [this, &domains](std::size_t index, const control::Domain& domain) {
-        return make_scheme(index, domain, domains);
-      });
-  for (const auto& endpoint : endpoints_) {
-    control::ReceiverAgent* watchdog = domain_manager_->register_receiver(*endpoint);
-    if (watchdog != nullptr) receiver_agents_.push_back(watchdog);
-  }
-  domain_manager_->start();
+  if (domain_manager_) domain_manager_->start();
 
   if (config_.audit.mode != check::AuditMode::kOff) {
     auditor_ = std::make_unique<check::InvariantAuditor>(config_.audit);
     auditor_->attach_simulation(*simulation_);
     auditor_->attach_network(*network_);
     auditor_->attach_multicast(*mcast_);
-    for (std::size_t d = 0; d < domain_manager_->domain_count(); ++d) {
+    const std::size_t domain_count = domain_manager_ ? domain_manager_->domain_count() : 0;
+    for (std::size_t d = 0; d < domain_count; ++d) {
       control::ControllerAgent* agent = domain_manager_->agent(d);
-      if (agent == nullptr) continue;
       agent->set_audit_hook(
           [this, agent](const core::AlgorithmInput& input, const core::AlgorithmOutput& output) {
             auditor_->on_algorithm_output(input, output, agent->algorithm());
           });
     }
-    if (domain_manager_->domain_count() > 1) {
+    if (domain_count > 1) {
       auditor_->register_check("control.domains", [this]() {
         domain_manager_->check_consistency([this](const std::string& detail) {
           check::Violation violation;
@@ -330,7 +320,6 @@ void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& re
 
   if (config_.traffic.engine == TrafficEngine::kFluid) {
     traffic::FluidEngine::Config ecfg;
-    ecfg.step = config_.traffic.fluid_step;
     ecfg.packet_size_bytes =
         static_cast<std::uint32_t>(config_.params.layers.packet_size_bytes);
     fluid_engine_ = std::make_unique<traffic::FluidEngine>(*simulation_, *network_, *mcast_,
@@ -344,7 +333,8 @@ void Scenario::finalize(const std::vector<TopologyDescription::ReceiverSpec>& re
   for (const auto& source : sources_) source->start();
   if (fluid_engine_) fluid_engine_->start();
   for (const auto& endpoint : endpoints_) endpoint->start();
-  domain_manager_->start_receiver_policies();
+  if (domain_manager_) domain_manager_->start_watchdogs();
+  if (receiver_driven_) receiver_driven_->start();
 }
 
 control::ControllerAgent* Scenario::controller() {
@@ -352,9 +342,7 @@ control::ControllerAgent* Scenario::controller() {
 }
 
 topo::TopologyProvider* Scenario::discovery() {
-  if (!domain_manager_) return nullptr;
-  auto* domain = dynamic_cast<control::TopoSenseDomain*>(&domain_manager_->scheme(0));
-  return domain != nullptr ? &domain->discovery() : nullptr;
+  return domain_manager_ ? &domain_manager_->scheme(0).discovery() : nullptr;
 }
 
 void Scenario::run_until(Time until) {
@@ -371,7 +359,7 @@ fault::FaultInjector& Scenario::install_faults(const fault::FaultPlan& plan) {
   fault::FaultInjector::Hooks hooks;
   if (controller() != nullptr) {
     // A controller fault takes down the whole control plane (every domain);
-    // per-domain outages go through domains()->scheme(i).set_enabled.
+    // per-domain outages go through domains()->agent(i)->set_enabled.
     hooks.set_controller_enabled = [this](bool enabled) {
       domain_manager_->set_enabled(enabled);
     };
@@ -422,9 +410,6 @@ std::unique_ptr<Scenario> Scenario::from_description(const ScenarioConfig& confi
     case TrafficEngineSpec::kFluid:
       s->config_.traffic.engine = TrafficEngine::kFluid;
       break;
-  }
-  if (description.fluid_step_s) {
-    s->config_.traffic.fluid_step = sim::Time::seconds(*description.fluid_step_s);
   }
 
   for (const std::string& name : description.nodes) netw.add_node(name);

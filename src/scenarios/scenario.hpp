@@ -6,7 +6,6 @@
 
 #include "baseline/receiver_driven.hpp"
 #include "check/invariant_auditor.hpp"
-#include "control/adaptation_controller.hpp"
 #include "control/controller_agent.hpp"
 #include "control/domain_manager.hpp"
 #include "control/receiver_agent.hpp"
@@ -45,13 +44,11 @@ enum class TrafficEngine {
   kFluid,   ///< rate trajectories integrated per step (traffic::FluidEngine)
 };
 
-/// Which adaptation scheme drives the receivers. The scenario wiring itself
-/// is kind-agnostic: each kind maps to a control::AdaptationController
-/// implementation behind the per-domain scheme factory.
+/// Which adaptation scheme drives the receivers.
 enum class ControllerKind {
-  kTopoSense,       ///< the paper's domain controller
-  kReceiverDriven,  ///< RLM-style baseline, no topology information
-  kNone,            ///< receivers stay at their initial subscription
+  kTopoSense,       ///< the paper's controllers, one per domain (DomainManager)
+  kReceiverDriven,  ///< RLM-style baseline over every receiver, no topology information
+  kNone,            ///< no controller: receivers stay at their initial subscription
 };
 
 /// Latency of every link of the built-in topologies (paper §IV), and the
@@ -65,8 +62,6 @@ struct ScenarioConfig {
     ::tsim::traffic::TrafficModel model{::tsim::traffic::TrafficModel::kCbr};
     double peak_to_mean{3.0};
     TrafficEngine engine{TrafficEngine::kPacket};
-    /// Fluid integration step; must divide one second (see FluidEngine).
-    sim::Time fluid_step{sim::Time::milliseconds(100)};
   };
   /// Every queue holds its link's bandwidth-delay product at kLinkLatency,
   /// at least 30 packets (a topology file's `queue` option overrides per
@@ -195,9 +190,11 @@ struct ReceiverResult {
 /// controller and metrics. Construction order is fixed by from_description;
 /// everything lives exactly as long as the Scenario.
 ///
-/// The adaptation control plane is always a control::DomainManager — a
-/// single-domain manager over the whole topology by default, or one scheme
-/// per routing domain when the topology declares `domain` lines.
+/// Under ControllerKind::kTopoSense the control plane is a
+/// control::DomainManager: one domain over the whole topology by default, or
+/// one TopoSense unit per routing domain when the topology declares `domain`
+/// lines. The receiver-driven baseline is one controller over every receiver
+/// and has no domains; kNone builds no controller at all.
 class Scenario {
  public:
   /// Builds a scenario from a topology description (see topology_file.hpp):
@@ -234,20 +231,17 @@ class Scenario {
   [[nodiscard]] sim::Simulation& simulation() { return *simulation_; }
   [[nodiscard]] net::Network& network() { return *network_; }
   [[nodiscard]] mcast::MulticastRouter& multicast() { return *mcast_; }
-  /// The control plane behind the kind-agnostic interface (never null after
-  /// construction; a NullController manager when the kind is kNone).
-  [[nodiscard]] control::AdaptationController* adaptation() { return domain_manager_.get(); }
-  /// The domain manager itself: domain layout, per-domain schemes and the
-  /// inter-domain summary counters.
+  /// The domain manager: domain layout, per-domain TopoSense units and the
+  /// inter-domain summary counters. nullptr unless the kind is kTopoSense.
   [[nodiscard]] control::DomainManager* domains() { return domain_manager_.get(); }
-  /// The root domain's ControllerAgent, or nullptr when the adaptation
-  /// scheme is not TopoSense. Single-domain scenarios (the default) have
-  /// exactly one agent, so this is "the" controller of the classic API.
+  /// The root domain's ControllerAgent, or nullptr unless the kind is
+  /// kTopoSense. Single-domain scenarios (the default) have exactly one
+  /// agent, so this is "the" controller of the classic API.
   [[nodiscard]] control::ControllerAgent* controller();
   /// The invariant auditor, or nullptr when auditing is off.
   [[nodiscard]] check::InvariantAuditor* auditor() { return auditor_.get(); }
-  /// The root domain's topology provider (oracle or mtrace), or nullptr when
-  /// the scheme runs without discovery.
+  /// The root domain's topology provider (oracle or mtrace), or nullptr
+  /// unless the kind is kTopoSense.
   [[nodiscard]] topo::TopologyProvider* discovery();
   /// Per-node packet demux registry — attach extra endpoints (e.g. TCP
   /// flows) to nodes without clobbering the scenario's own handlers.
@@ -268,7 +262,7 @@ class Scenario {
   }
   /// Per-receiver watchdog agents, index-parallel with results()/endpoints()
   /// (TopoSense only; empty for other kinds). The agents are owned by their
-  /// domain's scheme.
+  /// domain's TopoSense unit.
   [[nodiscard]] const std::vector<control::ReceiverAgent*>& receiver_agents() const {
     return receiver_agents_;
   }
@@ -284,14 +278,15 @@ class Scenario {
   /// selects (packet or fluid). finalize() starts it.
   void add_session_source(net::SessionId session, net::NodeId node);
 
-  /// Builds the per-domain adaptation scheme for the configured kind.
-  [[nodiscard]] std::unique_ptr<control::AdaptationController> make_scheme(
-      std::size_t index, const control::Domain& domain,
-      const std::vector<control::Domain>& all);
-  /// Builds the endpoints of results() (active in their `receivers` spec's
-  /// window), wires the controllers of `domains` (the root first) and
-  /// discovery, registers every domain's controller as a routing sink and
-  /// starts everything. Routes are computed already.
+  /// Builds the TopoSense unit (discovery and controller agent) of domain
+  /// `index` of `all`.
+  [[nodiscard]] std::unique_ptr<control::TopoSenseDomain> make_domain(
+      std::size_t index, const control::Domain& domain, const std::vector<control::Domain>& all);
+  /// Registers every domain's controller as a routing sink, builds the
+  /// configured controller (the domain manager over `domains`, the root
+  /// first, or the baseline), then the endpoints of results() (active in
+  /// their `receivers` spec's window), and starts everything. Routes are
+  /// computed already.
   void finalize(const std::vector<TopologyDescription::ReceiverSpec>& receivers,
                 const std::vector<control::Domain>& domains);
 
@@ -313,11 +308,12 @@ class Scenario {
   std::vector<std::unique_ptr<traffic::CbrFlow>> cross_flows_;
   std::vector<std::unique_ptr<fault::FaultInjector>> fault_injectors_;
   std::vector<std::unique_ptr<transport::ReceiverEndpoint>> endpoints_;
-  std::vector<control::ReceiverAgent*> receiver_agents_;  ///< owned by domain schemes
-  /// Declared after endpoints_: the schemes' watchdog agents reference the
-  /// endpoints, so the manager (and with it the watchdogs) is torn down
-  /// first.
+  std::vector<control::ReceiverAgent*> receiver_agents_;  ///< owned by the domain units
+  /// Declared after endpoints_: the watchdog agents and the baseline's
+  /// receivers reference the endpoints, so the controllers are torn down
+  /// first. At most one of the two is built (see ControllerKind).
   std::unique_ptr<control::DomainManager> domain_manager_;
+  std::unique_ptr<baseline::ReceiverDrivenController> receiver_driven_;
   /// Declared after everything it observes: the auditor is destroyed first,
   /// and the hooks it installed are never invoked after teardown begins (no
   /// events run during destruction).

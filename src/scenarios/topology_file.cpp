@@ -357,7 +357,7 @@ ParseResult parse_topology(std::string_view text) {
       desc.domains.push_back(std::move(dom));
     } else if (directive == "traffic") {
       if (tokens.size() < 2) {
-        return fail(line_no, "traffic needs: packet|fluid [options]");
+        return fail(line_no, "traffic needs: packet|fluid");
       }
       const std::string& engine = tokens[1];
       if (engine == "packet") {
@@ -368,28 +368,9 @@ ParseResult parse_topology(std::string_view text) {
         return fail(line_no, "unknown traffic engine '" + engine + "' (packet|fluid)");
       }
       desc.traffic_line = line_no;
-      for (std::size_t i = 2; i < tokens.size(); i += 2) {
-        if (i + 1 >= tokens.size()) {
-          return fail(line_no, "traffic option '" + tokens[i] + "' needs a value");
-        }
-        if (tokens[i] == "step" && desc.engine == TrafficEngineSpec::kFluid) {
-          double step_s = 0.0;
-          if (!parse_double(tokens[i + 1], step_s) || step_s <= 0.0 || step_s > 1.0) {
-            return fail(line_no, "bad step '" + tokens[i + 1] + "' (seconds in (0, 1])");
-          }
-          // The fluid engine requires a step that divides one second exactly
-          // (a step must never span two VBR intervals); diagnose here with a
-          // line number instead of at FluidEngine construction.
-          const auto step_ns = sim::Time::seconds(step_s).as_nanoseconds();
-          if (step_ns <= 0 || 1'000'000'000 % step_ns != 0) {
-            return fail(line_no,
-                        "step '" + tokens[i + 1] + "' must divide one second exactly");
-          }
-          desc.fluid_step_s = step_s;
-        } else {
-          return fail(line_no, "unknown traffic option '" + tokens[i] + "' for engine '" +
-                                   engine + "'");
-        }
+      if (tokens.size() > 2) {
+        return fail(line_no, "unknown traffic option '" + tokens[2] + "' for engine '" +
+                                 engine + "'");
       }
     } else if (directive == "fault") {
       std::string error;

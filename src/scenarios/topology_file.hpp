@@ -22,7 +22,7 @@ namespace tsim::scenarios {
 ///   controller <node>
 ///   domain <name> <border-node> [<node>...]
 ///   traffic packet
-///   traffic fluid [step <seconds>]
+///   traffic fluid
 ///   fault link <a> <b> down <t> [up <t>]
 ///   fault link <a> <b> lossy <p> <t0> <t1>
 ///   fault link <a> <b> flap <t0> <t1> period <seconds> [duty <d>]
@@ -101,7 +101,6 @@ struct TopologyDescription {
   int controller_line{0};
   /// Traffic engine selection (`traffic` directive; kDefault when absent).
   TrafficEngineSpec engine{TrafficEngineSpec::kDefault};
-  std::optional<double> fluid_step_s;  ///< `traffic fluid step <seconds>`
   int traffic_line{0};
   /// Schedule parsed from `fault` directives (empty when the file has none).
   fault::FaultPlan faults;

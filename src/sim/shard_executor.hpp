@@ -112,8 +112,6 @@ class ShardExecutor {
   /// restartable.
   void run_until(Time end);
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] Time lookahead() const { return lookahead_; }
   /// Scheduler events executed, summed over all shards.
   [[nodiscard]] std::uint64_t executed_events() const;
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }

@@ -22,7 +22,6 @@ class Simulation {
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
   [[nodiscard]] const Scheduler& scheduler() const { return scheduler_; }
   [[nodiscard]] Time now() const { return scheduler_.now(); }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   EventId at(Time when, Scheduler::Callback cb) {
     return scheduler_.schedule_at(when, std::move(cb));

@@ -1,7 +1,6 @@
 #include "traffic/fluid_engine.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace tsim::traffic {
 
@@ -24,12 +23,7 @@ FluidEngine::FluidEngine(sim::Simulation& simulation, net::Network& network,
       mcast_{mcast},
       pool_{pool},
       config_{config},
-      scratch_(pool.workers()) {
-  const std::int64_t step_ns = config_.step.as_nanoseconds();
-  if (step_ns <= 0 || 1'000'000'000 % step_ns != 0) {
-    throw std::invalid_argument("FluidEngine: step must divide one second");
-  }
-}
+      scratch_(pool.workers()) {}
 
 void FluidEngine::add_source(FluidSource* source) { sources_.push_back(source); }
 
@@ -53,7 +47,7 @@ void FluidEngine::add_background_flow(net::NodeId src, net::NodeId dst,
 void FluidEngine::start() {
   // Engine and Simulation share the Scenario's lifetime; no events run once
   // teardown begins.  NOLINT(callback-lifetime)
-  simulation_.after(config_.step, [this]() { step(); });
+  simulation_.after(kStep, [this]() { step(); });
 }
 
 void FluidEngine::ensure_capacity() {
@@ -94,7 +88,7 @@ void FluidEngine::touch(net::LinkId link, WorkerScratch& scratch) {
     // The link sat idle for `gap` full steps: nothing was offered, so the
     // backlog drained at line rate and any stale loss fraction is over.
     const double drained = network_.link_params(link).bandwidth.bps() *
-                           config_.step.as_seconds() * static_cast<double>(gap);
+                           kStep.as_seconds() * static_cast<double>(gap);
     st.queue.backlog_bits =
         st.queue.backlog_bits > drained ? st.queue.backlog_bits - drained : 0.0;
     st.loss_prev = 0.0;
@@ -175,7 +169,7 @@ void FluidEngine::offer_span(const mcast::GroupTree& tree, std::uint32_t begin,
 
 void FluidEngine::credit_cell(Cell& cell, std::uint32_t gid, net::LinkId link,
                               double inflow, double delivered, double packet_size) {
-  const double dt_s = config_.step.as_seconds();
+  const double dt_s = kStep.as_seconds();
   const double delivered_before = cell.delivered_acc;
   const double dropped_before = cell.dropped_acc;
   cell.delivered_acc += delivered * dt_s / 8.0;
@@ -190,7 +184,7 @@ void FluidEngine::credit_cell(Cell& cell, std::uint32_t gid, net::LinkId link,
 
 void FluidEngine::credit_member(const CreditWalk& walk, net::NodeId node, double rate) {
   if (node >= sinks_by_node_.size() || sinks_by_node_[node].empty()) return;
-  const double dt_s = config_.step.as_seconds();
+  const double dt_s = kStep.as_seconds();
   const double packet_size = walk.packet_size;
   MemberCredit& mc = members_[walk.gid][node];
   const MemberCredit before = mc;
@@ -263,7 +257,7 @@ void FluidEngine::resolve_background(BackgroundFlow& flow) {
 
 void FluidEngine::step() {
   const sim::Time t1 = simulation_.now();
-  const sim::Time t0 = t1 - config_.step;
+  const sim::Time t0 = t1 - kStep;
   ++steps_;
 
   // Group gids/trees/rates are re-fetched per pass: interning is idempotent
@@ -284,7 +278,7 @@ void FluidEngine::step() {
             config_.packet_size_bytes};
         st.loss_now = net::fluid_queue_step(st.queue, units::BitsPerSec{st.offered},
                                             network_.link_params(link).bandwidth, limit,
-                                            config_.step);
+                                            kStep);
         st.last_step = steps_;
       });
     }
@@ -341,7 +335,7 @@ void FluidEngine::step() {
   });
 
   // Same lifetime argument as start().  NOLINT(callback-lifetime)
-  simulation_.after(config_.step, [this]() { step(); });
+  simulation_.after(kStep, [this]() { step(); });
 }
 
 }  // namespace tsim::traffic

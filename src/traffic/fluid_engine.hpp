@@ -55,10 +55,13 @@ namespace tsim::traffic {
 /// flows in add order. All timing derives from sim::Time.
 class FluidEngine {
  public:
+  /// Integration step. Divides one second exactly, so a step never spans
+  /// two of the VBR trajectory's one-second intervals.
+  static constexpr sim::Time kStep = sim::Time::milliseconds(100);
+  static_assert(sim::Time::seconds(1).as_nanoseconds() % kStep.as_nanoseconds() == 0,
+                "the fluid step must divide one second");
+
   struct Config {
-    /// Integration step. Must divide one second exactly, so a step never
-    /// spans two of the VBR trajectory's one-second intervals.
-    sim::Time step{sim::Time::milliseconds(100)};
     /// Packet size used to convert link queue limits (packets) to bits and
     /// to account background-flow packets; per-group packet math uses each
     /// source's own LayerSpec packet size.

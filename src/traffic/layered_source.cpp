@@ -52,7 +52,6 @@ void LayeredSource::emit(net::LayerId layer) {
   packet.group = net::GroupAddr{config_.session, layer};
   packet.seq = next_seq_[layer - 1]++;
   ++sent_packets_[layer - 1];
-  sent_bytes_total_ += packet.size_bytes;
   network_.send_multicast(packet);
 }
 

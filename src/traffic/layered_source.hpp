@@ -51,13 +51,9 @@ class LayeredSource {
   void start();
 
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] std::uint32_t next_seq(net::LayerId layer) const {
-    return next_seq_[layer - 1];
-  }
   [[nodiscard]] std::uint64_t sent_packets(net::LayerId layer) const {
     return sent_packets_[layer - 1];
   }
-  [[nodiscard]] std::uint64_t sent_bytes_total() const { return sent_bytes_total_; }
 
  private:
   void schedule_cbr_layer(net::LayerId layer);
@@ -73,7 +69,6 @@ class LayeredSource {
   /// packets_per_second(layer), precomputed once — the formula calls pow(),
   /// which is far too slow to re-evaluate on every emitted packet.
   std::vector<double> pps_by_layer_;
-  std::uint64_t sent_bytes_total_{0};
 };
 
 }  // namespace tsim::traffic

@@ -21,9 +21,11 @@
 #include <utility>
 #include <vector>
 
+#include "mcast/multicast_router.hpp"
 #include "scenarios/scenario.hpp"
 #include "scenarios/scenario_builder.hpp"
 #include "scenarios/topology_file.hpp"
+#include "topo/discovery.hpp"
 #include "two_domain_topology.hpp"
 
 namespace tsim::scenarios {
@@ -187,8 +189,44 @@ TEST(DomainManagerTest, MultiDomainRunsAreDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+/// The two-domain topology at seed 9, VBR(3), 60 s under every controller
+/// kind and discovery mode. The TopoSense runs exercise the summary exchange
+/// (mtrace across domain borders included); the other two pin the order of
+/// the baseline's receiver ticks and a run with no controller.
+TEST(DomainGoldenTest, TwoDomainRunsMatchEveryControllerKind) {
+  struct Case {
+    ControllerKind kind;
+    DiscoveryMode discovery;
+    std::uint64_t golden;
+  };
+  const Case cases[] = {
+      {ControllerKind::kTopoSense, DiscoveryMode::kOracle, 0x3e9822a695344ccdull},
+      {ControllerKind::kTopoSense, DiscoveryMode::kMtrace, 0x4a1337d3e85b177full},
+      {ControllerKind::kReceiverDriven, DiscoveryMode::kOracle, 0x80d075c2844f3002ull},
+      {ControllerKind::kNone, DiscoveryMode::kOracle, 0x6301d3cd98d98bd4ull},
+  };
+  const ParseResult parsed = parse_topology(kTwoDomainTopology);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  for (const Case& c : cases) {
+    ScenarioConfig cfg;
+    cfg.seed = 9;
+    cfg.traffic.model = traffic::TrafficModel::kVbr;
+    cfg.traffic.peak_to_mean = 3.0;
+    cfg.duration = 60_s;
+    cfg.control.kind = c.kind;
+    cfg.control.discovery = c.discovery;
+    auto s = ScenarioBuilder(cfg).topology(*parsed.description).build();
+    s->run();
+    EXPECT_EQ(fingerprint(*s), c.golden)
+        << "kind " << static_cast<int>(c.kind) << ", discovery "
+        << static_cast<int>(c.discovery) << ": 0x" << std::hex << fingerprint(*s);
+  }
+}
+
 /// Builds a DomainManager directly over four bare nodes, so each partition
 /// check is reached without the topology grammar refusing the input first.
+/// Each domain gets a real TopoSense unit: an oracle over the fixture's
+/// multicast router and a controller agent at the domain's controller node.
 class DomainPartitionTest : public ::testing::Test {
  protected:
   DomainPartitionTest() {
@@ -200,8 +238,14 @@ class DomainPartitionTest : public ::testing::Test {
     try {
       const control::DomainManager manager{
           simulation_, network_, demuxes_, std::move(domains),
-          [](std::size_t, const control::Domain&) {
-            return std::make_unique<control::NullController>();
+          [this](std::size_t, const control::Domain& domain) {
+            control::ControllerAgent::Config config;
+            config.node = domain.controller_node;
+            return std::make_unique<control::TopoSenseDomain>(
+                simulation_, network_, demuxes_,
+                std::make_unique<topo::DiscoveryService>(simulation_, mcast_,
+                                                         topo::DiscoveryService::Config{}),
+                config);
           }};
     } catch (const std::invalid_argument& e) {
       return e.what();
@@ -211,6 +255,7 @@ class DomainPartitionTest : public ::testing::Test {
 
   sim::Simulation simulation_{1};
   net::Network network_{simulation_};
+  mcast::MulticastRouter mcast_{simulation_, network_};
   transport::DemuxRegistry demuxes_{network_};
   const control::Domain root_{"root", 0, {0, 1}, -1};
 };
@@ -222,6 +267,11 @@ TEST_F(DomainPartitionTest, AcceptsAForest) {
 TEST_F(DomainPartitionTest, RefusesANodeWithTwoOwners) {
   EXPECT_EQ(refusal({root_, {"child", 2, {1, 2, 3}, 0}}),
             "node 1 is owned by domains 'root' and 'child'");
+}
+
+TEST_F(DomainPartitionTest, RefusesANodeTheNetworkDoesNotHave) {
+  EXPECT_EQ(refusal({root_, {"child", 2, {2, 3, 4}, 0}}),
+            "domain 'child' names node 4, which the network does not have");
 }
 
 TEST_F(DomainPartitionTest, RefusesAControllerOutsideItsDomain) {
@@ -242,7 +292,8 @@ TEST_F(DomainPartitionTest, RefusesAParentCycle) {
 }
 
 TEST(DomainManagerTest, ReceiverDrivenSchemesStayIndependent) {
-  // Non-TopoSense schemes run their domains without a summary control plane.
+  // The baseline has no controller and no domains: one receiver-driven
+  // controller adapts every receiver, whatever the topology's partition.
   const ParseResult parsed = parse_topology(kTwoDomainTopology);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   ScenarioConfig cfg;
@@ -250,12 +301,9 @@ TEST(DomainManagerTest, ReceiverDrivenSchemesStayIndependent) {
   cfg.duration = 20_s;
   cfg.control.kind = ControllerKind::kReceiverDriven;
   auto s = ScenarioBuilder(cfg).topology(*parsed.description).build();
-  control::DomainManager* manager = s->domains();
-  ASSERT_NE(manager, nullptr);
-  EXPECT_EQ(manager->domain_count(), 3u);
-  EXPECT_FALSE(manager->summaries_enabled());
+  EXPECT_EQ(s->domains(), nullptr);
+  EXPECT_EQ(s->controller(), nullptr);
   s->run();
-  EXPECT_EQ(manager->summaries_sent(), 0u);
   // The receivers still adapted: somebody moved off the initial subscription.
   bool adapted = false;
   for (const auto& r : s->results()) adapted |= !r.timeline.points().empty();

@@ -43,8 +43,6 @@ SessionInput paper_tree(double loss3, double loss4, double loss6) {
 Params params() {
   Params p;
   p.p_threshold = 0.02;
-  p.eta_similar = 0.6;
-  p.similar_band = 0.02;
   // The pass tests feed hand-built estimates for arbitrary links.
   p.estimate_shared_links_only = false;
   return p;

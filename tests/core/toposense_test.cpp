@@ -30,7 +30,6 @@ SessionNodeInput receiver(net::NodeId id, net::NodeId parent, double loss, std::
 Params test_params() {
   Params p;
   p.p_threshold = 0.02;
-  p.high_loss = 0.08;
   p.interval = 1_s;
   p.backoff_min = 5_s;
   p.backoff_max = 5_s;  // deterministic backoff for tests

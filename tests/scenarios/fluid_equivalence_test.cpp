@@ -163,12 +163,5 @@ TEST(FluidEquivalenceTest, FluidRunsAreDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(FluidEquivalenceTest, NonDividingFluidStepIsRejected) {
-  ScenarioConfig cfg = engine_config(TrafficEngine::kFluid, traffic::TrafficModel::kCbr);
-  cfg.traffic.fluid_step = sim::Time::milliseconds(33);  // does not divide 1 s
-  EXPECT_THROW(ScenarioBuilder(cfg).topology_a(TopologyAOptions{}).build(),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace tsim::scenarios

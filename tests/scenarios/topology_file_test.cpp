@@ -280,7 +280,8 @@ INSTANTIATE_TEST_SUITE_P(
                       NumberCase{"receiver d 0 start 1e30", 5, "out of range"},
                       NumberCase{"fault link r d lossy nan 1 5", 7, "bad probability"},
                       NumberCase{"fault link r d down 1e30", 7, "out of range"},
-                      NumberCase{"traffic fluid step nan", 7, "bad step"}));
+                      NumberCase{"traffic fluid step nan", 7,
+                                 "unknown traffic option 'step' for engine 'fluid'"}));
 
 TEST(TopologyParseTest, AcceptsTimesUpToTheLimit) {
   const auto result = parse_topology(

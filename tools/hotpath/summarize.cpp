@@ -134,7 +134,12 @@ class Summarizer {
       return;
     }
     const char c = line[ci_];
-    if (decl_.empty() && !std::isspace(static_cast<unsigned char>(c))) decl_line_ = li_;
+    // Indentation and blanked comments before a declaration are not part of
+    // it: the declaration starts on the line of its first character.
+    if (decl_.empty()) {
+      if (std::isspace(static_cast<unsigned char>(c))) return;
+      decl_line_ = li_;
+    }
     if (c == '(') ++decl_paren_;
     if (c == ')' && decl_paren_ > 0) --decl_paren_;
     if (decl_paren_ > 0) {
